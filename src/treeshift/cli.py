@@ -7,6 +7,7 @@ configuration, version, wall time).
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import sys
@@ -40,7 +41,7 @@ from .errors import (
     TreeShiftError,
     ValidationFailed,
 )
-from .oracle import enumerate_type_classes, exact_mean_distribution
+from .oracle import enumerate_type_classes, mean_distribution
 from .rate_function import (
     domain_endpoints,
     lln_beta_bounds,
@@ -186,11 +187,10 @@ def analyze(model_file):
               help="Simplex grid denominator (default 50 for p<=3, 12 for p<=5).")
 @click.option("--entropy-n", default=40, show_default=True,
               help="Depth for the topological-entropy recursion.")
-@click.option("--threads", default=1, show_default=True,
-              help="Workers for the grid scan; output independent of the count.")
 @click.option("--scan-csv", type=click.Path(), default=None,
-              help="Also write the objective over the coarse s-grid to this CSV.")
-def dimension(model_file, eigen_tol, grid_denom, entropy_n, threads, scan_csv):
+              help="Also write the objective over the coarse s-grid to this CSV "
+                   "(for an upper bound: the grid of the closure that sets it).")
+def dimension(model_file, eigen_tol, grid_denom, entropy_n, scan_csv):
     """Hausdorff dimension (exact when irreducible, upper bound otherwise)."""
     started = time.perf_counter()
 
@@ -198,15 +198,14 @@ def dimension(model_file, eigen_tol, grid_denom, entropy_n, threads, scan_csv):
         _, reduced = _load_reduced(model_file)
         if is_irreducible(reduced):
             report = hausdorff_dimension(
-                reduced, eigen_tol=eigen_tol, grid_denom=grid_denom,
-                entropy_n=entropy_n, threads=threads,
+                reduced, eigen_tol=eigen_tol, grid_denom=grid_denom, entropy_n=entropy_n
             )
         else:
             report = general_upper_bound(
                 reduced, eigen_tol=eigen_tol, grid_denom=grid_denom, entropy_n=entropy_n
             )
-        if scan_csv and report.period > 1:
-            _write_scan_csv(scan_csv, reduced, report, eigen_tol, grid_denom)
+        if scan_csv and report.grid_s is not None:
+            _write_scan_csv(scan_csv, report)
         col_sums = reduced.adjacency.sum(axis=0)
         payload = {
             "dim": report.dim,
@@ -223,23 +222,18 @@ def dimension(model_file, eigen_tol, grid_denom, entropy_n, threads, scan_csv):
         }
         _emit(payload, "dimension", model_file,
               {"eigen_tol": eigen_tol, "grid_denom": grid_denom,
-               "entropy_n": entropy_n, "threads": threads},
+               "entropy_n": entropy_n},
               started)
 
     _run(go)
 
 
-def _write_scan_csv(path, model, report, eigen_tol, grid_denom):
-    from .dimension import _grid_denominator, _simplex_grid, dim_objective
-
-    period = find_a0_and_period(model)
-    denom = grid_denom if grid_denom is not None else _grid_denominator(period.period)
-    with open(path, "w") as fh:
-        header = ",".join(f"s{i}" for i in range(period.period))
-        fh.write(f"{header},objective\n")
-        for s in _simplex_grid(period.period, denom):
-            val = dim_objective(model, period, s, 0, eigen_tol=eigen_tol)
-            fh.write(",".join(repr(float(x)) for x in s) + f",{val!r}\n")
+def _write_scan_csv(path, report):
+    """The search's grid points and objective values; floats in repr form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"s{i}" for i in range(report.period)] + ["objective"])
+        writer.writerows(np.column_stack([report.grid_s, report.grid_values]).tolist())
 
 
 @main.command()
@@ -355,7 +349,7 @@ def oracle(model_file, depth, root, class_guard, csv_path):
         chain, _ = parse_weighted(_read_raw(model_file), reduced)
         root_sym = root if root is not None else find_a0_and_period(reduced).a0
         classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
-        dist = exact_mean_distribution(chain, depth, root_sym, class_guard=class_guard)
+        dist = mean_distribution(chain, classes, depth, root_sym)
         if csv_path:
             with open(csv_path, "w") as fh:
                 fh.write("mean,probability\n")

@@ -23,6 +23,7 @@ from scipy.optimize import minimize
 from .alphabet_graph import (
     AdjacencyModel,
     PeriodStructure,
+    _sccs,
     find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
@@ -120,6 +121,10 @@ class DimensionReport:
     iterations: int
     a0: int
     period: int
+    # the simplex grid the search scanned and the objective at each point;
+    # None when no search ran (p = 1)
+    grid_s: np.ndarray | None = None
+    grid_values: np.ndarray | None = None
 
 
 def dim_objective(
@@ -171,45 +176,36 @@ def _grid_denominator(p: int) -> int:
     return 8
 
 
-def hausdorff_dimension(
-    model: AdjacencyModel,
-    period: PeriodStructure | None = None,
-    eigen_tol: float = EIGEN_TOL,
-    grid_denom: int | None = None,
-    entropy_n: int = 40,
-    with_entropy: bool = True,
-    threads: int = 1,
-) -> DimensionReport:
-    """Exact dimension for irreducible models: simplex grid + Nelder-Mead refine.
+def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
+    """The model with its adjacency masked to each SCC that carries a cycle.
 
-    Grid points are independent; ``threads`` sizes a worker pool over them.
-    The reduction always scans results in grid-index order, so the report is
-    bit-stable whatever the worker count.
+    Symbols keep their indices, so the period structure of the whole model
+    applies to every block.  An irreducible model is its own single block.
     """
-    if not is_irreducible(model):
-        raise ModelValidationError(
-            "model is not irreducible; use general_upper_bound instead"
-        )
-    if period is None:
-        period = find_a0_and_period(model)
+    sccs = _sccs(model)
+    if len(sccs) == 1:
+        return [model]
+    blocks = []
+    for comp in sccs:
+        inside = np.zeros(model.n_symbols, dtype=bool)
+        inside[list(comp)] = True
+        adj = model.adjacency * np.outer(inside, inside)
+        if adj.any():
+            blocks.append(AdjacencyModel(model.symbols, adj, model.arity))
+    return blocks
+
+
+def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol, grid_denom):
+    """Minimize the objective over the simplex: grid scan, then Nelder-Mead.
+
+    A point scores the largest objective over the model's cyclic SCC blocks
+    (one block when irreducible).  Power iteration on a reducible closure
+    whose blocks grow at the same rate converges like 1/n (a Jordan block),
+    while each block alone converges geometrically.  Returns the minimum,
+    its simplex point, the number of objective evaluations, and the grid
+    points with their objective values.
+    """
     p = period.period
-    log_rho = linear_spectral_radius(model.adjacency.T.astype(float))
-    h_top = entropy_iterate(model, entropy_n).h_top if with_entropy else float("nan")
-
-    if p == 1:
-        return DimensionReport(
-            dim=log_rho,
-            argmin_r=np.array([1.0]),
-            argmin_s=np.array([1.0]),
-            class_values=(log_rho,),
-            h_top=h_top,
-            log_rho_linear=log_rho,
-            method="exact_irreducible",
-            iterations=0,
-            a0=period.a0,
-            period=1,
-        )
-
     denom = grid_denom if grid_denom is not None else _grid_denominator(p)
     n_points = _grid_size(p, denom)
     if n_points > GRID_POINT_LIMIT:
@@ -221,17 +217,12 @@ def hausdorff_dimension(
     points = list(_simplex_grid(p, denom))
     if not points:
         raise SearchFailed("empty simplex grid")
+    blocks = _cyclic_blocks(model)
 
-    def eval_point(s):
-        return dim_objective(model, period, s, 0, eigen_tol=eigen_tol)
+    def objective(s) -> float:
+        return max(dim_objective(b, period, s, 0, eigen_tol=eigen_tol) for b in blocks)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(eval_point, points))
-    else:
-        values = [eval_point(s) for s in points]
+    values = [objective(s) for s in points]
     evals = len(points)
     scored = sorted(zip(values, points), key=lambda t: t[0])
 
@@ -240,7 +231,7 @@ def hausdorff_dimension(
         s = np.concatenate([u, [1.0 - u.sum()]])
         if (s < -1e-12).any():
             return 1e9
-        return dim_objective(model, period, np.clip(s, 0.0, None), 0, eigen_tol=eigen_tol)
+        return objective(np.clip(s, 0.0, None))
 
     seeds = [s for _, s in scored[: p]]
     init = np.array([s[:-1] for s in seeds])
@@ -263,7 +254,42 @@ def hausdorff_dimension(
     s_star = np.concatenate([best_u, [1.0 - np.sum(best_u)]])
     s_star = np.clip(s_star, 0.0, None)
     s_star /= s_star.sum()
-    dim = dim_objective(model, period, s_star, 0, eigen_tol=eigen_tol)
+    return objective(s_star), s_star, evals, (np.array(points), np.array(values))
+
+
+def hausdorff_dimension(
+    model: AdjacencyModel,
+    period: PeriodStructure | None = None,
+    eigen_tol: float = EIGEN_TOL,
+    grid_denom: int | None = None,
+    entropy_n: int = 40,
+) -> DimensionReport:
+    """Exact dimension for irreducible models: simplex grid + Nelder-Mead refine."""
+    if not is_irreducible(model):
+        raise ModelValidationError(
+            "model is not irreducible; use general_upper_bound instead"
+        )
+    if period is None:
+        period = find_a0_and_period(model)
+    p = period.period
+    log_rho = linear_spectral_radius(model.adjacency.T.astype(float))
+    h_top = entropy_iterate(model, entropy_n).h_top
+
+    if p == 1:
+        return DimensionReport(
+            dim=log_rho,
+            argmin_r=np.array([1.0]),
+            argmin_s=np.array([1.0]),
+            class_values=(log_rho,),
+            h_top=h_top,
+            log_rho_linear=log_rho,
+            method="exact_irreducible",
+            iterations=0,
+            a0=period.a0,
+            period=1,
+        )
+
+    dim, s_star, evals, (grid_s, grid_values) = _search(model, period, eigen_tol, grid_denom)
     class_values = tuple(
         dim_objective(model, period, s_star, j, eigen_tol=eigen_tol) for j in range(p)
     )
@@ -279,6 +305,8 @@ def hausdorff_dimension(
         iterations=evals,
         a0=period.a0,
         period=p,
+        grid_s=grid_s,
+        grid_values=grid_values,
     )
 
 
@@ -301,7 +329,8 @@ def general_upper_bound(
     irreducible formula evaluated there bounds the closure's dimension.  If
     the closure's class labeling is inconsistent (possible for reducible
     models), the linear spectral radius of the closure is used instead, which
-    is always a valid upper bound.
+    is always a valid upper bound.  The report's grid scan is that of the
+    closure that sets the bound.
     """
     model = reduce_a0(model)
     report = reachability(model)
@@ -314,48 +343,33 @@ def general_upper_bound(
 
     best = None
     evals = 0
-    seen: dict[frozenset, tuple] = {}
+    seen: set[frozenset] = set()
     for a in sorted(report.recurrent):
         closure = report.closures[a]
-        key = closure
-        if key in seen:
+        if closure in seen:
             continue
+        seen.add(closure)
         keep = sorted(closure)
         sub = model.submodel(keep)
         local_a0 = keep.index(a)
+        s_arg, p_found, scan = np.array([1.0]), 1, (None, None)
         try:
             sub_period = find_a0_and_period(sub, a0=local_a0)
             if sub_period.period == 1:
                 value = linear_spectral_radius(sub.adjacency.T.astype(float))
-                s_arg, r_arg, p_found = np.array([1.0]), np.array([1.0]), 1
-            elif is_irreducible(sub):
-                sub_rep = hausdorff_dimension(
-                    sub, sub_period, eigen_tol=eigen_tol, grid_denom=grid_denom,
-                    with_entropy=False,
-                )
-                value, s_arg, r_arg, p_found = (
-                    sub_rep.dim, sub_rep.argmin_s, sub_rep.argmin_r, sub_rep.period
-                )
-                evals += sub_rep.iterations
             else:
-                value, s_arg, r_arg, evals_a = _minimize_on_period(
-                    sub, sub_period, eigen_tol, grid_denom
-                )
+                value, s_arg, evals_a, scan = _search(sub, sub_period, eigen_tol, grid_denom)
                 p_found = sub_period.period
                 evals += evals_a
         except ClassInconsistency:
             value = linear_spectral_radius(sub.adjacency.T.astype(float))
-            s_arg = np.array([1.0])
-            r_arg = np.array([1.0])
-            p_found = 1
-        seen[key] = (value,)
         if best is None or value > best[0]:
-            best = (value, s_arg, r_arg, a, p_found)
+            best = (value, s_arg, a, p_found, scan)
 
-    value, s_arg, r_arg, a_best, p_found = best
+    value, s_arg, a_best, p_found, (grid_s, grid_values) = best
     return DimensionReport(
         dim=float(value),
-        argmin_r=np.asarray(r_arg, dtype=float),
+        argmin_r=simplex_to_ratios(s_arg, model.arity, p_found).r,
         argmin_s=np.asarray(s_arg, dtype=float),
         class_values=(float(value),),
         h_top=h_top,
@@ -364,39 +378,9 @@ def general_upper_bound(
         iterations=evals,
         a0=int(a_best),
         period=int(p_found),
+        grid_s=grid_s,
+        grid_values=grid_values,
     )
-
-
-def _minimize_on_period(model, period, eigen_tol, grid_denom):
-    """Grid + Nelder-Mead minimization for a merely-(A1) closure."""
-    p = period.period
-    denom = grid_denom if grid_denom is not None else _grid_denominator(p)
-    best_val, best_s = inf, None
-    evals = 0
-    for s in _simplex_grid(p, denom):
-        val = dim_objective(model, period, s, 0, eigen_tol=eigen_tol)
-        evals += 1
-        if val < best_val:
-            best_val, best_s = val, s
-
-    def objective_u(u: np.ndarray) -> float:
-        s = np.concatenate([u, [1.0 - u.sum()]])
-        if (s < -1e-12).any():
-            return 1e9
-        return dim_objective(model, period, np.clip(s, 0.0, None), 0, eigen_tol=eigen_tol)
-
-    result = minimize(
-        objective_u, best_s[:-1], method="Nelder-Mead",
-        options={"xatol": NM_XTOL, "fatol": NM_FTOL, "maxiter": 2000},
-    )
-    evals += result.nfev
-    if result.fun < best_val:
-        best_val = float(result.fun)
-        best_s = np.concatenate([result.x, [1.0 - result.x.sum()]])
-    best_s = np.clip(best_s, 0.0, None)
-    best_s /= best_s.sum()
-    param = simplex_to_ratios(best_s, model.arity, p)
-    return float(best_val), best_s, param.r, evals
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,13 @@ def exact_mean_distribution(
     if root is None:
         root = find_a0_and_period(chain.base).a0
     classes = enumerate_type_classes(chain, n, root, class_guard=class_guard)
+    return mean_distribution(chain, classes, n, root)
+
+
+def mean_distribution(
+    chain: WeightedChainModel, classes: list[TypeClass], n: int, root: int
+) -> MeanDistribution:
+    """Group the depth-n type classes of ``root`` by their weighted edge counts."""
     total_nodes = lattice_size(chain.arity, n)
     sup = chain.base.adjacency == 1
     log_w = np.zeros_like(chain.W)

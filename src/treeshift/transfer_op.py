@@ -117,21 +117,19 @@ def _check_exponents(r: np.ndarray, d: int) -> np.ndarray:
     return r
 
 
-def apply_l(
-    model: AdjacencyModel,
-    r,
-    log_x: np.ndarray,
-    rotation: int = 0,
-    _log_adj: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full p-step cycle, starting with exponent r_rotation."""
-    r = _check_exponents(r, model.arity)
-    log_adj = _log_adj if _log_adj is not None else log_weights(model.adjacency)
+def _cycle(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray, rotation: int) -> np.ndarray:
+    """The p psi steps of one cycle; ``r`` must already be validated."""
     p = len(r)
-    x = np.asarray(log_x, dtype=float)
     for i in range(p):
         x = psi(log_adj, float(r[(rotation + i) % p]), x)
     return x
+
+
+def apply_l(model: AdjacencyModel, r, log_x: np.ndarray, rotation: int = 0) -> np.ndarray:
+    """Full p-step cycle, starting with exponent r_rotation."""
+    r = _check_exponents(r, model.arity)
+    x = np.asarray(log_x, dtype=float)
+    return _cycle(log_weights(model.adjacency), r, x, rotation)
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ def principal_eigenpair(
     rotation = (period.period - j) % period.period if rotate else 0
     lo = hi = np.nan
     for it in range(1, max_iter + 1):
-        y = apply_l(model, r, x, rotation, _log_adj=log_adj)
+        y = _cycle(log_adj, r, x, rotation)
         common = np.isfinite(x) & np.isfinite(y)
         if not common.any():
             # the cone collapses: eigenvalue 0

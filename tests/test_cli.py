@@ -41,6 +41,20 @@ BLOCKS = {
 
 DISCONNECTED = {"symbols": ["a", "b"], "adjacency": [[1, 0], [0, 1]], "d": 2}
 
+# EXAMPLE2_ADJ's period-2 closure {0, 1, 2} beside a self-loop on 3
+REDUCIBLE_PERIOD2 = {
+    "symbols": ["0", "1", "2", "3"],
+    "adjacency": [[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    "d": 2,
+}
+
+# 0<->1, 0->2, 2<->3: two 2-cycles growing at the same rate
+EQUAL_RATE_CYCLES = {
+    "symbols": ["0", "1", "2", "3"],
+    "adjacency": [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]],
+    "d": 2,
+}
+
 
 @pytest.fixture
 def write_model(tmp_path):
@@ -103,6 +117,23 @@ class TestDimension:
         lines = scan.read_text().strip().splitlines()
         assert lines[0] == "s0,s1,objective"
         assert len(lines) == 52  # header + 51 grid points
+
+    def test_scan_csv_reducible_writes_bounding_closure(self, write_model, tmp_path):
+        scan = tmp_path / "scan.csv"
+        payload = run_json(
+            ["dimension", write_model(REDUCIBLE_PERIOD2), "--scan-csv", str(scan)]
+        )
+        assert payload["method"] == "upper_bound_general"
+        assert payload["dim"] == pytest.approx(log(2) / 3, abs=1e-4)
+        lines = scan.read_text().strip().splitlines()
+        assert lines[0] == "s0,s1,objective"
+        assert len(lines) == 52
+        assert min(float(row.split(",")[2]) for row in lines[1:]) >= payload["dim"] - 1e-12
+
+    def test_equal_rate_cycles(self, write_model):
+        payload = run_json(["dimension", write_model(EQUAL_RATE_CYCLES)])
+        assert payload["method"] == "upper_bound_general"
+        assert payload["dim"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestRate:

@@ -127,13 +127,6 @@ class TestHausdorff:
         b = hausdorff_dimension(period2, grid_denom=47)
         assert a.dim == pytest.approx(b.dim, abs=1e-7)
 
-    def test_thread_count_does_not_change_report(self, period2):
-        serial = hausdorff_dimension(period2, threads=1)
-        pooled = hausdorff_dimension(period2, threads=4)
-        assert serial.dim == pooled.dim
-        assert np.array_equal(serial.argmin_s, pooled.argmin_s)
-        assert serial.class_values == pooled.class_values
-
     def test_rejects_reducible(self):
         with pytest.raises(ModelValidationError):
             hausdorff_dimension(make_model([[1, 1], [0, 1]]))
@@ -174,6 +167,16 @@ class TestGeneralUpperBound:
     def test_upper_triangular_zero(self):
         report = general_upper_bound(make_model([[1, 1], [0, 1]]))
         assert report.dim == pytest.approx(0.0, abs=1e-12)
+
+    def test_equal_rate_cycles(self):
+        # 0<->1, 0->2, 2<->3: the closure of 0 holds two swap cycles growing
+        # at the same rate, where power iteration on the whole closure
+        # converges only like 1/n
+        report = general_upper_bound(
+            make_model([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
+        )
+        assert report.period == 2
+        assert report.dim == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSpectralBound:

@@ -147,11 +147,10 @@ class TestEigenpair:
     def test_eigen_residual(self, nine):
         period = find_a0_and_period(nine)
         r = np.array([0.9, 1.5, 1 / (0.9 * 1.5)])
-        log_adj = log_weights(nine.adjacency)
         for j in range(3):
             pair = principal_eigenpair(nine, period, r, class_index=j, tol=1e-11)
             rotation = (3 - j) % 3
-            y = apply_l(nine, r, pair.eigvec.values, rotation, _log_adj=log_adj)
+            y = apply_l(nine, r, pair.eigvec.values, rotation)
             sup = pair.eigvec.support
             resid = np.abs(y[sup] - pair.log_rho - pair.eigvec.values[sup]).max()
             assert resid < 10 * 1e-11
