@@ -204,7 +204,7 @@ def dimension(model_file, eigen_tol, grid_denom, entropy_n, scan_csv):
             report = general_upper_bound(
                 reduced, eigen_tol=eigen_tol, grid_denom=grid_denom, entropy_n=entropy_n
             )
-        if scan_csv and report.grid_s is not None:
+        if scan_csv:
             _write_scan_csv(scan_csv, report)
         col_sums = reduced.adjacency.sum(axis=0)
         payload = {

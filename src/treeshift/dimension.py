@@ -122,9 +122,9 @@ class DimensionReport:
     a0: int
     period: int
     # the simplex grid the search scanned and the objective at each point;
-    # None when no search ran (p = 1)
-    grid_s: np.ndarray | None = None
-    grid_values: np.ndarray | None = None
+    # the single point s = [1.0] with the reported value when no search ran
+    grid_s: np.ndarray
+    grid_values: np.ndarray
 
 
 def dim_objective(
@@ -287,6 +287,8 @@ def hausdorff_dimension(
             iterations=0,
             a0=period.a0,
             period=1,
+            grid_s=np.array([[1.0]]),
+            grid_values=np.array([log_rho]),
         )
 
     dim, s_star, evals, (grid_s, grid_values) = _search(model, period, eigen_tol, grid_denom)
@@ -352,17 +354,18 @@ def general_upper_bound(
         keep = sorted(closure)
         sub = model.submodel(keep)
         local_a0 = keep.index(a)
-        s_arg, p_found, scan = np.array([1.0]), 1, (None, None)
+        s_arg, p_found, scan = np.array([1.0]), 1, None
         try:
             sub_period = find_a0_and_period(sub, a0=local_a0)
-            if sub_period.period == 1:
-                value = linear_spectral_radius(sub.adjacency.T.astype(float))
-            else:
+            if sub_period.period > 1:
                 value, s_arg, evals_a, scan = _search(sub, sub_period, eigen_tol, grid_denom)
                 p_found = sub_period.period
                 evals += evals_a
         except ClassInconsistency:
+            pass
+        if scan is None:  # p = 1 or an inconsistent labeling: the linear bound
             value = linear_spectral_radius(sub.adjacency.T.astype(float))
+            scan = (np.array([[1.0]]), np.array([value]))
         if best is None or value > best[0]:
             best = (value, s_arg, a, p_found, scan)
 

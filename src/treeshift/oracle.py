@@ -17,14 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
 from .errors import TooLarge
-from .rate_function import WeightedChainModel, _maximize_concave, tilted_matrix
-from .transfer_op import psi
+from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted_recursion
 from .tree_core import lattice_size
 
 LIST_GUARD = 10**8
@@ -371,19 +369,13 @@ def finite_rate(
     """
     if period is None:
         period = find_a0_and_period(chain.base)
-    d = chain.arity
-    n_sym = chain.base.n_symbols
-    total = lattice_size(d, n)
-    mask = period.class_mask((class_index - n) % period.period, n_sym)
+    total = lattice_size(chain.arity, n)
+    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
 
-    def v_of(mu: float) -> float:
-        log_e = tilted_matrix(chain, mu)
-        x = np.zeros(n_sym)
-        for _ in range(n):
-            x = psi(log_e, d, x)
-        return float(x[mask].max() / total)
+    def value_and_slope(mu: float) -> tuple[float, float]:
+        top, slope = _tilted_recursion(chain, mu, n, mask)
+        return top / total, slope / total
 
-    val, _, bounded = _maximize_concave(lambda mu: mu * alpha - v_of(mu))
-    if not bounded:
-        return -inf
-    return -val
+    lo, hi = _extreme_sums(chain, n, mask)
+    value, _ = _legendre(alpha, value_and_slope, lo / total, hi / total)
+    return -value

@@ -15,20 +15,22 @@ congruent to j mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, sqrt
+from math import floor, inf, log, nan
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
-from .errors import ModelParseError, ModelValidationError, NoConvergence, SupportViolation
-from .transfer_op import log_weights, psi
+from .errors import ModelParseError, ModelValidationError, SupportViolation
+from .transfer_op import _lse_columns, log_weights
 
 STOCHASTIC_TOL = 1e-12
 PRESSURE_TOL = 1e-10
-PRESSURE_MAX_ITER = 4000
 MAX_DOUBLINGS = 40
-GOLDEN = (sqrt(5.0) - 1.0) / 2.0
+BOUNDARY_SLACK = 1e-7
+# the dual's error from a root off by dmu is second order, about P''(mu) dmu^2
+ROOT_XTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,99 @@ def _recursion_constant(chain: WeightedChainModel) -> float:
     return max(c_w, c_m, log(chain.base.n_symbols))
 
 
+def _certified_depth(scale: float, d: int, tol: float) -> int:
+    """Smallest n >= 1 with the a-priori bound scale * d^(-n) below ``tol``."""
+    n = max(1, floor(log(scale / tol) / log(d)) + 1) if scale >= tol else 1
+    return n + int(scale * d ** (-n) >= tol)  # log rounding at an exact power of d
+
+
+def _tilted_recursion(chain: WeightedChainModel, mu, n: int, mask) -> tuple[float, float]:
+    """max of x_n over the roots in ``mask``, and its derivative along log W.
+
+        x_{k+1}[b]  = d lse_a(log E[a,b] + x_k[a])
+        dx_{k+1}[b] = d sum_a softmax_a(log E[:,b] + x_k)[a] (log W[a,b] + dx_k[a])
+
+    The value is exactly ``psi(log E, d, x)`` step by step; the tangent is its
+    forward-mode derivative in mu, so the slope costs no extra pass.
+    """
+    d = chain.arity
+    log_e = tilted_matrix(chain, mu)
+    log_w = np.where(chain.base.adjacency == 1, chain.log_w(), 0.0)
+    x = np.zeros(chain.base.n_symbols)
+    dx = np.zeros_like(x)
+    for _ in range(n):
+        z = log_e + x[:, None]
+        top = _lse_columns(z)
+        # renormalized: at large |mu| the rounding of ``top`` is no longer
+        # small against 1, and unnormalized weights would compound it
+        soft = np.exp(z - top)
+        soft /= soft.sum(axis=0)
+        dx = d * (soft * (log_w + dx[:, None])).sum(axis=0)
+        x = d * top
+    root = np.flatnonzero(mask)[np.argmax(x[mask])]
+    return float(x[root]), float(dx[root])
+
+
+def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[float, float]:
+    """Least and largest log-W sums over depth-n trees with root in ``mask``.
+
+    These are the mu -> -inf and mu -> +inf limits of x_n(mu) / mu: the
+    min-plus and max-plus versions of the tilted recursion over the support,
+    y_{k+1}[b] = d max_a (+-log W[a,b] + y_k[a]).
+    """
+    d = chain.arity
+    sup = chain.base.adjacency == 1
+    ends = []
+    for sign in (-1.0, 1.0):
+        signed = np.where(sup, sign * chain.log_w(), -np.inf)
+        y = np.zeros(chain.base.n_symbols)
+        for _ in range(n):
+            y = d * (signed + y[:, None]).max(axis=0)
+        ends.append(sign * float(y[mask].max()))
+    return ends[0], ends[1]
+
+
+def _legendre(
+    alpha: float, value_and_slope: Callable[[float], tuple[float, float]], lo: float, hi: float
+) -> tuple[float, float]:
+    """sup_mu (mu alpha - V(mu)) for a convex V whose slopes span [lo, hi].
+
+    Returns (value, maximizing mu); (+inf, nan) outside the domain widened by
+    BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha,
+    bracketed by doubling from +-1 up to 2^MAX_DOUBLINGS and solved by
+    Brent's method.  At an edge of the domain the root lies at infinity, and
+    the cap stands in for it.
+    """
+    if not lo - BOUNDARY_SLACK <= alpha <= hi + BOUNDARY_SLACK:
+        return inf, nan
+
+    def excess(mu: float) -> float:
+        return value_and_slope(mu)[1] - alpha
+
+    cap = 2.0**MAX_DOUBLINGS
+    a, b = -1.0, 1.0
+    fa, fb = excess(a), excess(b)
+    while fa > 0 and a > -cap:
+        a, b, fb = 2.0 * a, a, fa
+        fa = excess(a)
+    while fb < 0 and b < cap:
+        a, b, fa = b, 2.0 * b, fb
+        fb = excess(b)
+    if fa >= 0 or fb <= 0:  # a root at the bracket's end, or beyond the cap
+        mu = a if fa >= 0 else b
+    else:
+        mu = brentq(excess, a, b, xtol=ROOT_XTOL)
+    return mu * alpha - value_and_slope(mu)[0], mu
+
+
 @dataclass(frozen=True)
 class PressureResult:
     mu: float
     value: float
     iterations: int
     error_bound: float
+    # derivative of the depth-n readout along log W (the pressure's slope in mu)
+    slope: float
 
 
 def pressure(
@@ -175,88 +264,25 @@ def pressure(
     class_index: int = 0,
     period: PeriodStructure | None = None,
     tol: float = PRESSURE_TOL,
-    max_iter: int = PRESSURE_MAX_ITER,
 ) -> PressureResult:
     """Limit of the lambda-recursion for the tilted matrix, with certified error.
 
     At step n the recursion reads out max of lambda^(n) = (d-1)/d^(n+1) x_n
     over the class of root symbols compatible with bottom class j at depth n,
-    i.e. class (j - n) mod p.  Stops once the a-priori bound
-    C d^(-n) (|mu| + 2) drops below ``tol``; convergence is geometric, so this
-    always terminates.
+    i.e. class (j - n) mod p.  n is the first depth where the a-priori bound
+    C d^(-n) (|mu| + 2) drops below ``tol``.  The slope is read at the same
+    root from the recursion's tangent.
     """
     if period is None:
         period = find_a0_and_period(chain.base)
     d = chain.arity
-    p = period.period
-    log_e = tilted_matrix(chain, mu)
-    c_const = _recursion_constant(chain)
     mu_scale = abs(mu) if np.ndim(mu) == 0 else float(np.abs(mu).max())
-    x = np.zeros(chain.base.n_symbols)
-    n = 0
-    err = inf
-    while n < max_iter:
-        x = psi(log_e, d, x)
-        n += 1
-        err = c_const * d ** (-n) * (mu_scale + 2.0)
-        if err < tol:
-            break
-    mask = period.class_mask((class_index - n) % p, chain.base.n_symbols)
-    value = float((d - 1.0) / d ** (n + 1.0) * x[mask].max())
-    return PressureResult(mu=mu, value=value, iterations=n, error_bound=err)
-
-
-def _golden_max(g: Callable[[float], float], a: float, b: float, xtol: float = 1e-9):
-    """Golden-section maximization of a unimodal function on [a, b]."""
-    c = b - GOLDEN * (b - a)
-    d_ = a + GOLDEN * (b - a)
-    fc, fd = g(c), g(d_)
-    while d_ - c > xtol:
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + GOLDEN * (b - a)
-            fd = g(d_)
-    return (fc, c) if fc > fd else (fd, d_)
-
-
-def _expand_bracket(g: Callable[[float], float], max_doublings: int = MAX_DOUBLINGS):
-    """Scan g at 0, +-1, +-2, +-4, ... until the best point is interior.
-
-    Returns (best_value, best_mu, bracket, bounded); ``bounded`` is False when
-    the best point still sits on the boundary at the cap 2^max_doublings.
-    """
-    best_val, best_mu = g(0.0), 0.0
-    bracket = 1.0
-    while True:
-        for mu in (-bracket, bracket):
-            val = g(mu)
-            if val > best_val + 1e-15 * max(1.0, abs(best_val)):
-                best_val, best_mu = val, mu
-        if abs(best_mu) < bracket / 2.0 or bracket >= 2.0**max_doublings:
-            break
-        bracket *= 2.0
-    return best_val, best_mu, bracket, abs(best_mu) < bracket
-
-
-def _maximize_concave(g: Callable[[float], float], max_doublings: int = MAX_DOUBLINGS):
-    """sup of a concave g over the reals via expanding brackets.
-
-    Returns (value, argmax, bounded); ``bounded`` is False when the optimum
-    still improved at the bracket cap 2^max_doublings, which callers combine
-    with a domain test to declare +inf.
-    """
-    best_val, best_mu, bracket, bounded = _expand_bracket(g, max_doublings)
-    # concavity places the argmax between the scanned neighbors of best_mu
-    lo = max(best_mu - bracket, -bracket)
-    hi = min(best_mu + bracket, bracket)
-    val, mu = _golden_max(g, lo, hi)
-    if val < best_val:
-        val, mu = best_val, best_mu
-    return val, mu, bounded
+    scale = _recursion_constant(chain) * (mu_scale + 2.0)
+    n = _certified_depth(scale, d, tol)
+    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
+    top, slope = _tilted_recursion(chain, mu, n, mask)
+    weight = (d - 1.0) / d ** (n + 1.0)
+    return PressureResult(mu, weight * top, n, scale * d ** (-n), weight * slope)
 
 
 def rate(
@@ -282,88 +308,60 @@ def rate_with_argmax(
     period: PeriodStructure | None = None,
     endpoints: tuple[float, float] | None = None,
     pressure_tol: float = PRESSURE_TOL,
-    boundary_slack: float = 1e-7,
 ) -> tuple[float, float, bool]:
     """As ``rate`` but also reports the maximizing mu and finiteness."""
     if period is None:
         period = find_a0_and_period(chain.base)
+    if endpoints is None:
+        endpoints = domain_endpoints(chain, class_index, period)
 
-    def g(mu: float) -> float:
-        return mu * alpha - pressure(
-            chain, mu, class_index, period, tol=pressure_tol
-        ).value
+    def value_and_slope(mu: float) -> tuple[float, float]:
+        res = pressure(chain, mu, class_index, period, tol=pressure_tol)
+        return res.value, res.slope
 
-    if endpoints is not None:
-        a1, a2 = endpoints
-        if alpha < a1 - boundary_slack or alpha > a2 + boundary_slack:
-            return inf, float("nan"), False
-    val, mu, bounded = _maximize_concave(g)
-    if not bounded:
-        a1, a2 = endpoints if endpoints is not None else domain_endpoints(
-            chain, class_index, period
-        )
-        if alpha < a1 - boundary_slack or alpha > a2 + boundary_slack:
-            return inf, float("nan"), False
-    return val, mu, True
+    value, mu = _legendre(alpha, value_and_slope, *endpoints)
+    return value, mu, value < inf
 
 
 def domain_endpoints(
     chain: WeightedChainModel,
     class_index: int,
     period: PeriodStructure | None = None,
-    mu_big: float = 1e3,
-    slope_tol: float = 1e-6,
 ) -> tuple[float, float]:
-    """Finiteness interval (alpha_1, alpha_2) of the rate, via pressure slopes.
+    """Finiteness interval (alpha_1, alpha_2) of the rate: the pressure's asymptotic slopes.
 
-    The pressure is convex with asymptotic slopes alpha_1 (mu -> -inf) and
-    alpha_2 (mu -> +inf); central differences at +-mu_big are refined by
-    doubling mu_big until two successive slope estimates agree to slope_tol.
+    alpha_2 = lim P(mu)/mu as mu -> +inf is the max-plus recursion read out
+    with the pressure's class mask and (d-1)/d^(n+1) weight; alpha_1 is its
+    min-plus twin.  n is the first depth where max|log W| d^(-n) drops below
+    PRESSURE_TOL, the a-priori bound on the readout's error.
     """
     if period is None:
         period = find_a0_and_period(chain.base)
-    h = 1.0
-    p_tol = min(PRESSURE_TOL, slope_tol * h * 1e-2)
-
-    def slope(mu: float) -> float:
-        hi = pressure(chain, mu + h, class_index, period, tol=p_tol).value
-        lo = pressure(chain, mu - h, class_index, period, tol=p_tol).value
-        return (hi - lo) / (2.0 * h)
-
-    ends = []
-    for sign in (-1.0, 1.0):
-        mu = mu_big
-        est = slope(sign * mu)
-        while mu < 2.0**MAX_DOUBLINGS:
-            mu *= 2.0
-            nxt = slope(sign * mu)
-            if abs(nxt - est) < slope_tol:
-                est = nxt
-                break
-            est = nxt
-        ends.append(est)
-    return ends[0], ends[1]
+    d = chain.arity
+    sup = chain.base.adjacency == 1
+    n = _certified_depth(np.abs(np.log(chain.W[sup])).max(initial=0.0), d, PRESSURE_TOL)
+    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
+    lo, hi = _extreme_sums(chain, n, mask)
+    weight = (d - 1.0) / d ** (n + 1.0)
+    return weight * lo, weight * hi
 
 
-def stationary_class_vector(
-    chain: WeightedChainModel,
-    period: PeriodStructure,
-    tol: float = 1e-15,
-    max_iter: int = 10**5,
-) -> np.ndarray:
-    """Probability eigenvector of M^p supported on class A_0, by power iteration."""
-    p = period.period
-    m_pow = np.linalg.matrix_power(chain.M, p)
+def stationary_class_vector(chain: WeightedChainModel, period: PeriodStructure) -> np.ndarray:
+    """Probability eigenvector of M^p supported on class A_0, by a direct solve.
+
+    M^p maps class A_0 into itself; (M^p - I) y = 0 on that block, stacked
+    with sum(y) = 1, is one least-squares system with an exact solution.
+    """
     n = chain.base.n_symbols
-    y = period.class_mask(0, n).astype(float)
-    y /= y.sum()
-    for _ in range(max_iter):
-        z = m_pow @ y
-        z /= z.sum()
-        if np.abs(z - y).sum() < tol:
-            return z
-        y = z
-    raise NoConvergence("stationary vector of M^p did not converge", best=y)
+    mask = period.class_mask(0, n)
+    block = np.linalg.matrix_power(chain.M, period.period)[np.ix_(mask, mask)]
+    k = block.shape[0]
+    system = np.vstack([block - np.eye(k), np.ones((1, k))])
+    rhs = np.zeros(k + 1)
+    rhs[-1] = 1.0
+    y = np.zeros(n)
+    y[mask] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return y
 
 
 def lln_limit(

@@ -62,11 +62,16 @@ def _root_label(chain: WeightedChainModel, config: SampleConfig, trial: int) -> 
 
 
 def _next_level(chain, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one full level given the parent labels per slot."""
+    """Inverse-CDF draw of one full level given the parent labels per slot.
+
+    A draw past a column total that rounds below 1 takes the parent's last
+    supported child, so every drawn edge is admissible.
+    """
     cum = np.cumsum(chain.M, axis=0)
     thresholds = cum[:, parents]
     labels = (u[None, :] >= thresholds).sum(axis=0)
-    return np.minimum(labels, chain.base.n_symbols - 1).astype(np.int16)
+    last_child = chain.M.shape[0] - 1 - np.argmax(chain.M[::-1] > 0, axis=0)
+    return np.minimum(labels, last_child[parents]).astype(np.int16)
 
 
 def sample_tree(chain: WeightedChainModel, config: SampleConfig, trial: int = 0) -> LabeledTree:

@@ -118,6 +118,17 @@ class TestDimension:
         assert lines[0] == "s0,s1,objective"
         assert len(lines) == 52  # header + 51 grid points
 
+    def test_scan_csv_single_point_when_no_search(self, write_model, tmp_path):
+        # p = 1: no simplex search runs, the file holds the one point s = [1]
+        scan = tmp_path / "scan.csv"
+        payload = run_json(["dimension", write_model(FULL2), "--scan-csv", str(scan)])
+        lines = scan.read_text().strip().splitlines()
+        assert lines[0] == "s0,objective"
+        assert len(lines) == 2
+        s0, value = map(float, lines[1].split(","))
+        assert s0 == 1.0
+        assert value == payload["dim"]
+
     def test_scan_csv_reducible_writes_bounding_closure(self, write_model, tmp_path):
         scan = tmp_path / "scan.csv"
         payload = run_json(

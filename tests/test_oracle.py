@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +196,29 @@ class TestFiniteRate:
     def test_unreachable_alpha_is_minus_infinity(self, example1):
         period = find_a0_and_period(example1.base)
         assert finite_rate(example1, 0, 3, 5.0, period) == -inf
+
+
+class TestDualityScript:
+    def test_example2_period_two(self, tmp_path):
+        # finite_rate at p = 2, through the audit script over every class to depth 4
+        repo = Path(__file__).resolve().parents[1]
+        model = tmp_path / "example2.json"
+        model.write_text(json.dumps({
+            "symbols": ["0", "1", "2"],
+            "adjacency": [[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+            "d": 2,
+            "M": [[0, 1, 1], [1 / 3, 0, 0], [2 / 3, 0, 0]],
+        }))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "duality_check.py"), str(model),
+             "--depth", "4"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        summary = result.stdout.strip().splitlines()[-1]
+        assert summary.startswith("60 classes checked to depth 4")
+        assert float(summary.rsplit(" ", 1)[1]) <= 1e-9

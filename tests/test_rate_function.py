@@ -18,7 +18,12 @@ from treeshift import (
     tilted_matrix,
 )
 from treeshift.errors import ModelValidationError, SupportViolation
-from treeshift.rate_function import parse_weighted
+from treeshift.rate_function import (
+    _tilted_recursion,
+    parse_weighted,
+    stationary_class_vector,
+)
+from treeshift.tree_core import lattice_size
 
 ALPHA_STAR_1 = log(2) / 3  # Example-1 limit
 ALPHA_HI_1 = 2 * log(2) / 3
@@ -171,9 +176,10 @@ class TestRate:
 
 class TestEndpoints:
     def test_example1(self, example1):
+        # the max-plus readout is certified to PRESSURE_TOL, far inside 1e-10
         a1, a2 = domain_endpoints(example1, 0)
-        assert a1 == pytest.approx(0.0, abs=1e-4)
-        assert a2 == pytest.approx(ALPHA_HI_1, abs=1e-4)
+        assert a1 == pytest.approx(0.0, abs=1e-10)
+        assert a2 == pytest.approx(ALPHA_HI_1, abs=1e-10)
 
     def test_degenerate(self, flat_chain):
         a1, a2 = domain_endpoints(flat_chain, 0)
@@ -187,6 +193,53 @@ class TestEndpoints:
             star = lln_limit(extreme, j, period)
             assert a1 == pytest.approx(star, abs=1e-4)
             assert a2 == pytest.approx(star, abs=1e-4)
+
+
+def random_weighted_chain(seed: int):
+    """Irreducible chain on 2-4 symbols (a Hamiltonian cycle plus random edges)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    adj = (rng.random((n, n)) < 0.4).astype(int)
+    cycle = rng.permutation(n)
+    adj[np.roll(cycle, -1), cycle] = 1
+    m = np.where(adj == 1, rng.random((n, n)) + 0.05, 0.0)
+    m /= m.sum(axis=0, keepdims=True)
+    w = np.where(adj == 1, np.exp(rng.normal(size=(n, n))), 0.0)
+    return chain_from_matrices(m, w, d=int(rng.integers(2, 4)))
+
+
+class TestExactDual:
+    @given(st.integers(0, 2**32 - 1), st.floats(-6, 6), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_tangent_matches_central_difference(self, seed, mu, n):
+        chain = random_weighted_chain(seed)
+        size = lattice_size(chain.arity, n)
+        h = 1e-5
+        for root in np.eye(chain.base.n_symbols, dtype=bool):
+            _, slope = _tilted_recursion(chain, mu, n, root)
+            x_hi, _ = _tilted_recursion(chain, mu + h, n, root)
+            x_lo, _ = _tilted_recursion(chain, mu - h, n, root)
+            assert abs(slope - (x_hi - x_lo) / (2 * h)) / size < 1e-7
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-30, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_slope_inside_domain(self, seed, mu):
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        for j in range(period.period):
+            a1, a2 = domain_endpoints(chain, j, period)
+            slope = pressure(chain, mu, j, period).slope
+            assert a1 - 1e-9 <= slope <= a2 + 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rate_finite_exactly_on_domain(self, seed):
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        a1, a2 = domain_endpoints(chain, 0, period)
+        assert rate(chain, 0, a1 - 1e-6, period) == inf
+        assert rate(chain, 0, a2 + 1e-6, period) == inf
+        assert rate(chain, 0, 0.5 * (a1 + a2), period) < inf
 
 
 class TestLln:
@@ -208,6 +261,16 @@ class TestLln:
         lo, hi = lln_beta_bounds(extreme_recip, np.array([0.5, 0.25, 0.25]))
         assert lo == pytest.approx(log(2) / 2, abs=1e-12)
         assert hi == pytest.approx(log(2) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_stationary_vector_slow_mixing(self, eps):
+        # the spectral gap is 3 eps; power iteration stalled at 1e-5 and below
+        m = np.array([[1 - eps, 2 * eps], [eps, 1 - 2 * eps]])
+        chain = chain_from_matrices(m)
+        got = stationary_class_vector(chain, find_a0_and_period(chain.base))
+        vals, vecs = np.linalg.eig(m)
+        ref = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        assert got == pytest.approx((ref / ref.sum()).tolist(), abs=1e-9)
 
     def test_rate_vanishes_at_phase_limits(self, extreme):
         # ties the class conventions of the dual recursion and the LLN formula

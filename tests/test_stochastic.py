@@ -16,7 +16,7 @@ from treeshift import (
 )
 from treeshift.errors import TooLarge
 from treeshift.oracle import exact_mean_distribution
-from treeshift.stochastic import running_means
+from treeshift.stochastic import _next_level, running_means
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,19 @@ class TestSampleTree:
             for trial in range(5):
                 tree = sample_tree(chain, SampleConfig(depth=7, seed=3), trial)
                 validate_admissible(tree, chain.base)
+
+    def test_overflow_draw_stays_admissible(self):
+        # column 0 sums to 1 - 4e-13 (inside the stochastic tolerance) and
+        # never reaches symbol 2; a draw above its total must not land there
+        m = np.array([[0.5, 0.25, 0.5], [0.5 - 4e-13, 0.25, 0.5], [0.0, 0.5, 0.0]])
+        chain = chain_from_matrices(m, d=2)
+        assert chain.base.adjacency[2, 0] == 0
+        assert _next_level(chain, np.array([0]), np.array([1 - 1e-13]))[0] == 1
+        # draws below the last child's cumulative value are untouched
+        u = np.random.default_rng(0).random(300) * (1 - 4e-13)
+        parents = np.repeat([0, 1, 2], 100)
+        plain = (u[None, :] >= np.cumsum(m, axis=0)[:, parents]).sum(axis=0)
+        assert np.array_equal(_next_level(chain, parents, u), plain)
 
     def test_root_distribution(self, example1):
         pi = np.array([0.25, 0.75])
