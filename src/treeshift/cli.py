@@ -36,7 +36,6 @@ from .errors import (
     ModelValidationError,
     NoConvergence,
     Overflow,
-    SearchFailed,
     TooLarge,
     TreeShiftError,
     ValidationFailed,
@@ -124,7 +123,7 @@ def _run(fn):
     except (ModelValidationError, A1Violated) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except (NoConvergence, SearchFailed, ValidationFailed) as exc:
+    except (NoConvergence, ValidationFailed) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     except (TooLarge, Overflow, MemoryError) as exc:
@@ -183,27 +182,22 @@ def analyze(model_file):
 @click.argument("model_file", type=click.Path(exists=True))
 @click.option("--eigen-tol", default=1e-11, show_default=True,
               help="Collatz-Wielandt bracket width for eigenpairs.")
-@click.option("--grid-denom", default=None, type=int,
-              help="Simplex grid denominator (default 50 for p<=3, 12 for p<=5).")
 @click.option("--entropy-n", default=40, show_default=True,
               help="Depth for the topological-entropy recursion.")
 @click.option("--scan-csv", type=click.Path(), default=None,
-              help="Also write the objective over the coarse s-grid to this CSV "
-                   "(for an upper bound: the grid of the closure that sets it).")
-def dimension(model_file, eigen_tol, grid_denom, entropy_n, scan_csv):
+              help="Also write the objective over the search's starting s-lattice "
+                   "(at most 51 points) to this CSV (for an upper bound: the "
+                   "lattice of the closure that sets it).")
+def dimension(model_file, eigen_tol, entropy_n, scan_csv):
     """Hausdorff dimension (exact when irreducible, upper bound otherwise)."""
     started = time.perf_counter()
 
     def go():
         _, reduced = _load_reduced(model_file)
         if is_irreducible(reduced):
-            report = hausdorff_dimension(
-                reduced, eigen_tol=eigen_tol, grid_denom=grid_denom, entropy_n=entropy_n
-            )
+            report = hausdorff_dimension(reduced, eigen_tol=eigen_tol, entropy_n=entropy_n)
         else:
-            report = general_upper_bound(
-                reduced, eigen_tol=eigen_tol, grid_denom=grid_denom, entropy_n=entropy_n
-            )
+            report = general_upper_bound(reduced, eigen_tol=eigen_tol, entropy_n=entropy_n)
         if scan_csv:
             _write_scan_csv(scan_csv, report)
         col_sums = reduced.adjacency.sum(axis=0)
@@ -221,15 +215,14 @@ def dimension(model_file, eigen_tol, grid_denom, entropy_n, scan_csv):
             "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
         }
         _emit(payload, "dimension", model_file,
-              {"eigen_tol": eigen_tol, "grid_denom": grid_denom,
-               "entropy_n": entropy_n},
+              {"eigen_tol": eigen_tol, "entropy_n": entropy_n},
               started)
 
     _run(go)
 
 
 def _write_scan_csv(path, report):
-    """The search's grid points and objective values; floats in repr form."""
+    """The search's lattice points and objective values; floats in repr form."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"s{i}" for i in range(report.period)] + ["objective"])

@@ -8,14 +8,14 @@ instead: the affine map
     q_i(s) = sum_j s_{i-j} d^{-j} * (d^p - d^{p-1}) / (d^p - 1),
     r_i    = q_i / q_{i+1}           (indices mod p)
 
-is a bijection from the simplex onto the exponent set, the coefficient in
-the objective equals q_0, and the boundary r_i = d (often optimal) sits at
-simplex vertices, so no boundary handling is needed.
+is a bijection from the simplex onto the exponent set, and the coefficient
+in the objective equals q_0.  The boundary r_i = d (often optimal) sits on
+simplex faces, which the search reaches exactly (see ``_search``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import comb, inf
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,7 +34,6 @@ from .errors import (
     ClassInconsistency,
     EmptyRecurrentSet,
     ModelValidationError,
-    SearchFailed,
     ValidationFailed,
 )
 from .rate_function import (
@@ -53,7 +52,8 @@ from .transfer_op import (
 )
 
 SIMPLEX_TOL = 1e-12
-GRID_POINT_LIMIT = 200_000
+SCAN_MAX_POINTS = 51
+SCAN_MAX_DENOM = 50
 NM_FTOL = 1e-12
 NM_XTOL = 1e-9
 
@@ -168,12 +168,16 @@ def _simplex_grid(p: int, step_denom: int):
         yield np.array(point, dtype=float) / step_denom
 
 
-def _grid_denominator(p: int) -> int:
-    if p <= 3:
-        return 50
-    if p <= 5:
-        return 12
-    return 8
+def _scan_denominator(p: int) -> int:
+    """The finest lattice step 1/k, k <= 50, whose simplex grid has at most 51 points.
+
+    That is 1/50 at p = 2, 1/8 at p = 3, and the p vertices (k = 1) from
+    p = 10 on; the vertices are always scanned, even when p > 51.
+    """
+    k = 1
+    while k < SCAN_MAX_DENOM and comb(k + p, p - 1) <= SCAN_MAX_POINTS:
+        k += 1
+    return k
 
 
 def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
@@ -195,76 +199,64 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     return blocks
 
 
-def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol, grid_denom):
-    """Minimize the objective over the simplex: grid scan, then Nelder-Mead.
+def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
+    """Minimize the objective over the simplex: lattice scan, then Nelder-Mead.
+
+    The scan covers the simplex lattice of ``_scan_denominator(p)``.
+    Nelder-Mead then runs over p - 1 free coordinates u through
+    s = w / sum(w), with w = 1 at the pivot (the largest coordinate of the
+    best lattice point) and w_i = u_i^2 elsewhere.  The map covers the whole
+    simplex except the face s_pivot = 0, so an optimum on any other face is
+    reached exactly, with no penalty or clipping.
 
     A point scores the largest objective over the model's cyclic SCC blocks
     (one block when irreducible).  Power iteration on a reducible closure
     whose blocks grow at the same rate converges like 1/n (a Jordan block),
     while each block alone converges geometrically.  Returns the minimum,
-    its simplex point, the number of objective evaluations, and the grid
+    its simplex point, the number of objective evaluations, and the lattice
     points with their objective values.
     """
     p = period.period
-    denom = grid_denom if grid_denom is not None else _grid_denominator(p)
-    n_points = _grid_size(p, denom)
-    if n_points > GRID_POINT_LIMIT:
-        raise SearchFailed(
-            f"simplex grid for p={p} at step 1/{denom} has {n_points} points "
-            f"(limit {GRID_POINT_LIMIT})"
-        )
-
-    points = list(_simplex_grid(p, denom))
-    if not points:
-        raise SearchFailed("empty simplex grid")
+    denom = _scan_denominator(p)
+    points = np.array(list(_simplex_grid(p, denom)))
     blocks = _cyclic_blocks(model)
 
     def objective(s) -> float:
         return max(dim_objective(b, period, s, 0, eigen_tol=eigen_tol) for b in blocks)
 
-    values = [objective(s) for s in points]
-    evals = len(points)
-    scored = sorted(zip(values, points), key=lambda t: t[0])
+    values = np.array([objective(s) for s in points])
+    best = points[np.argmin(values)]
+    pivot = int(np.argmax(best))
+    free = np.arange(p) != pivot
 
-    # Nelder-Mead over the first p-1 coordinates, seeded by the best p grid points
-    def objective_u(u: np.ndarray) -> float:
-        s = np.concatenate([u, [1.0 - u.sum()]])
-        if (s < -1e-12).any():
-            return 1e9
-        return objective(np.clip(s, 0.0, None))
+    def to_simplex(u: np.ndarray) -> np.ndarray:
+        w = np.ones(p)
+        w[free] = u * u
+        return w / w.sum()
 
-    seeds = [s for _, s in scored[: p]]
-    init = np.array([s[:-1] for s in seeds])
-    if len(seeds) < p or np.linalg.matrix_rank(init - init[0]) < p - 1:
-        base = seeds[0][:-1]
-        init = np.vstack([base] + [base + 1e-3 * np.eye(p - 1)[k] for k in range(p - 1)])
+    u0 = np.sqrt(best[free] / best[pivot])
     result = minimize(
-        objective_u,
-        init[0],
+        lambda u: objective(to_simplex(u)),
+        u0,
         method="Nelder-Mead",
         options={
-            "initial_simplex": init[: p],
+            "initial_simplex": np.vstack([u0, u0 + np.eye(p - 1) / denom]),
             "xatol": NM_XTOL,
             "fatol": NM_FTOL,
             "maxiter": 2000,
         },
     )
-    evals += result.nfev
-    best_u = result.x if result.fun <= scored[0][0] else scored[0][1][:-1]
-    s_star = np.concatenate([best_u, [1.0 - np.sum(best_u)]])
-    s_star = np.clip(s_star, 0.0, None)
-    s_star /= s_star.sum()
-    return objective(s_star), s_star, evals, (np.array(points), np.array(values))
+    evals = len(points) + result.nfev
+    return float(result.fun), to_simplex(result.x), evals, (points, values)
 
 
 def hausdorff_dimension(
     model: AdjacencyModel,
     period: PeriodStructure | None = None,
     eigen_tol: float = EIGEN_TOL,
-    grid_denom: int | None = None,
     entropy_n: int = 40,
 ) -> DimensionReport:
-    """Exact dimension for irreducible models: simplex grid + Nelder-Mead refine."""
+    """Exact dimension for irreducible models: lattice scan + Nelder-Mead refine."""
     if not is_irreducible(model):
         raise ModelValidationError(
             "model is not irreducible; use general_upper_bound instead"
@@ -291,7 +283,7 @@ def hausdorff_dimension(
             grid_values=np.array([log_rho]),
         )
 
-    dim, s_star, evals, (grid_s, grid_values) = _search(model, period, eigen_tol, grid_denom)
+    dim, s_star, evals, (grid_s, grid_values) = _search(model, period, eigen_tol)
     class_values = tuple(
         dim_objective(model, period, s_star, j, eigen_tol=eigen_tol) for j in range(p)
     )
@@ -312,16 +304,9 @@ def hausdorff_dimension(
     )
 
 
-def _grid_size(p: int, denom: int) -> int:
-    from math import comb
-
-    return comb(denom + p - 1, p - 1)
-
-
 def general_upper_bound(
     model: AdjacencyModel,
     eigen_tol: float = EIGEN_TOL,
-    grid_denom: int | None = None,
     entropy_n: int = 40,
 ) -> DimensionReport:
     """Upper bound for arbitrary (A0) models: max over recurrent closures.
@@ -358,7 +343,7 @@ def general_upper_bound(
         try:
             sub_period = find_a0_and_period(sub, a0=local_a0)
             if sub_period.period > 1:
-                value, s_arg, evals_a, scan = _search(sub, sub_period, eigen_tol, grid_denom)
+                value, s_arg, evals_a, scan = _search(sub, sub_period, eigen_tol)
                 p_found = sub_period.period
                 evals += evals_a
         except ClassInconsistency:

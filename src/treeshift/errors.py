@@ -67,10 +67,6 @@ class NoConvergence(TreeShiftError):
         self.best = best
 
 
-class SearchFailed(TreeShiftError):
-    """The minimization grid could not be built within configured limits."""
-
-
 class EmptyRecurrentSet(TreeShiftError):
     """No symbol lies on a cycle; the shift contains finitely many trees."""
 

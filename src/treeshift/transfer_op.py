@@ -154,10 +154,15 @@ def principal_eigenpair(
 ) -> EigenPair:
     """Power iteration for the cone-restricted principal eigenpair.
 
-    Starts from the indicator of the class, renormalizes in log domain each
-    cycle, and brackets the eigenvalue with the Collatz-Wielandt bounds
-    min/max of (L(x) - x) over the common support.  The bracket is valid for
-    order-preserving homogeneous maps, which the cycle is.
+    Starts from the indicator of the class and brackets the eigenvalue with
+    the Collatz-Wielandt bounds min/max of (L(x) - x) over the support, once
+    the cycle maps that support onto itself.  The bracket is valid for
+    order-preserving homogeneous maps, which the cycle is.  The first step,
+    and any step that shrinks the support, is x -> L(x); every later step
+    is x -> x + L(x) (logaddexp in log domain), renormalized.  The shift by
+    the identity makes the iteration aperiodic: without it, a cone whose
+    p-step cycle permutes sub-classes (a cyclic block whose own period is a
+    multiple of p) never settles.
     """
     r = _check_exponents(r, model.arity)
     if len(r) != period.period:
@@ -168,15 +173,17 @@ def principal_eigenpair(
     rotation = (period.period - j) % period.period if rotate else 0
     lo = hi = np.nan
     for it in range(1, max_iter + 1):
-        y = _cycle(log_adj, r, x, rotation)
-        common = np.isfinite(x) & np.isfinite(y)
-        if not common.any():
+        lx = _cycle(log_adj, r, x, rotation)
+        support = np.isfinite(lx)
+        if not support.any():
             # the cone collapses: eigenvalue 0
-            return EigenPair(-np.inf, LogVector(y), j, it, 0.0)
-        with np.errstate(invalid="ignore"):
-            diffs = (y - x)[common]
-        lo, hi = float(diffs.min()), float(diffs.max())
-        x = np.where(np.isfinite(y), y - logsumexp(y[common]), -np.inf)
+            return EigenPair(-np.inf, LogVector(lx), j, it, 0.0)
+        invariant = (support == np.isfinite(x)).all()
+        if invariant:
+            diffs = lx[support] - x[support]
+            lo, hi = float(diffs.min()), float(diffs.max())
+        y = np.logaddexp(x, lx) if invariant and it > 1 else lx
+        x = y - logsumexp(y)
         if hi - lo < tol:
             return EigenPair(0.5 * (lo + hi), LogVector(x), j, it, hi - lo)
     best = EigenPair(0.5 * (lo + hi), LogVector(x), j, max_iter, hi - lo)

@@ -56,6 +56,32 @@ EQUAL_RATE_CYCLES = {
 }
 
 
+
+def _edges(n, edges, d=2):
+    """Model from parent -> children lists; adjacency[child][parent] = 1."""
+    adj = [[0] * n for _ in range(n)]
+    for parent, children in edges:
+        for child in children:
+            adj[child][parent] = 1
+    return {"symbols": [str(i) for i in range(n)], "adjacency": adj, "d": d}
+
+
+# 0->{1,2}, 1->{3,4,5}, 2->5, {3,4,5}->0: period 3, optimum on a simplex face
+FACE_OPTIMUM = _edges(6, [(0, [1, 2]), (1, [3, 4, 5]), (2, [5]), (3, [0]), (4, [0]), (5, [0])])
+
+
+def _layered(p):
+    """Symbols (k, a), k mod p, a in {0, 1}; every edge (k, a) -> (k+1, b)
+    except (0, 1) -> (1, 1).  Period p."""
+    def sym(k, a):
+        return 2 * (k % p) + a
+
+    return _edges(2 * p, [
+        (sym(k, a), [sym(k + 1, b) for b in (0, 1) if (k, a, b) != (0, 1, 1)])
+        for k in range(p) for a in (0, 1)
+    ])
+
+
 @pytest.fixture
 def write_model(tmp_path):
     def _write(data, name="model.json"):
@@ -140,6 +166,17 @@ class TestDimension:
         assert lines[0] == "s0,s1,objective"
         assert len(lines) == 52
         assert min(float(row.split(",")[2]) for row in lines[1:]) >= payload["dim"] - 1e-12
+
+    def test_face_optimum(self, write_model):
+        # the minimum lies on the face s1 = 0, below the vertex value 0.3289407
+        payload = run_json(["dimension", write_model(FACE_OPTIMUM)])
+        assert payload["period"] == 3
+        assert payload["dim"] < 0.3289407 - 1e-6
+
+    def test_layered_period16(self, write_model):
+        payload = run_json(["dimension", write_model(_layered(16))])
+        assert payload["period"] == 16
+        assert payload["dim"] <= payload["log_rho_linear"] + 1e-9
 
     def test_equal_rate_cycles(self, write_model):
         payload = run_json(["dimension", write_model(EQUAL_RATE_CYCLES)])
@@ -241,6 +278,10 @@ class TestMeasure:
         assert m_star[:, 0] == pytest.approx([0.0, 0.5, 0.5], abs=1e-6)
         assert payload["validation_value"] == pytest.approx(log(2) / 3, abs=1e-6)
 
+    def test_face_optimum_certificate(self, write_model):
+        payload = run_json(["measure", write_model(FACE_OPTIMUM)])
+        assert payload["validation_value"] == pytest.approx(payload["dim"], abs=1e-6)
+
     def test_certificate_tolerance_exit(self, write_model):
         result = run_cli(["measure", write_model(EXAMPLE2_ADJ), "--tol", "1e-18"])
         # either the certificate is exact (fine) or it exits with the numeric code
@@ -258,9 +299,8 @@ class TestExitCodes:
         assert run_cli(["analyze", write_model(model)]).exit_code == 3
 
     def test_numeric_error(self, write_model):
-        result = run_cli(
-            ["dimension", write_model(EXAMPLE2_ADJ), "--grid-denom", "300001"]
-        )
+        # a zero bracket width is never reached: NoConvergence
+        result = run_cli(["dimension", write_model(EXAMPLE2_ADJ), "--eigen-tol", "0"])
         assert result.exit_code == 4
 
     def test_installed_entry_point(self, write_model):

@@ -10,6 +10,7 @@ from treeshift import (
     find_a0_and_period,
     general_upper_bound,
     hausdorff_dimension,
+    is_irreducible,
     optimal_markov_measure,
     ratios_to_simplex,
     simplex_to_ratios,
@@ -122,11 +123,6 @@ class TestHausdorff:
         assert report.argmin_r[0] == pytest.approx(2.0, abs=1e-3)
         assert report.method == "exact_irreducible"
 
-    def test_grid_phase_reproducibility(self, period2):
-        a = hausdorff_dimension(period2, grid_denom=50)
-        b = hausdorff_dimension(period2, grid_denom=47)
-        assert a.dim == pytest.approx(b.dim, abs=1e-7)
-
     def test_rejects_reducible(self):
         with pytest.raises(ModelValidationError):
             hausdorff_dimension(make_model([[1, 1], [0, 1]]))
@@ -143,6 +139,62 @@ class TestHausdorff:
             forced = find_a0_and_period(period2, a0=a0)
             rep = hausdorff_dimension(period2, period=forced)
             assert rep.dim == pytest.approx(base, abs=1e-8)
+
+
+def _periodic_model(seed, p, d):
+    """Random irreducible model of period p: classes of 1-3 symbols, edges
+    only from class k to class k+1 (mod p).  A closed walk through every
+    symbol and a p-cycle through the first symbol of each class fix
+    irreducibility and the period; every other such edge is present with
+    probability 0.6."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, size=p)
+    first = np.cumsum(sizes) - sizes
+    cls = np.repeat(np.arange(p), sizes)
+    n = len(cls)
+    adj = (cls[:, None] == (cls[None, :] + 1) % p) & (rng.random((n, n)) < 0.6)
+    walk = [first[k] + t % sizes[k] for t in range(sizes.max()) for k in range(p)]
+    walk += list(first)
+    for parent, child in zip(walk, walk[1:] + walk[:1]):
+        adj[child, parent] = True
+    model = make_model(adj.astype(int).tolist(), d=d)
+    period = find_a0_and_period(model)
+    assert is_irreducible(model) and period.period == p
+    return model, period
+
+
+periodic_models = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 3))
+
+
+class TestConvexSearch:
+    @given(periodic_models)
+    @settings(max_examples=50, deadline=None)
+    def test_objective_midpoint_convex(self, args):
+        model, period = _periodic_model(*args)
+        p = period.period
+        rng = np.random.default_rng(args[0])
+        for _ in range(4):
+            a, b = rng.dirichlet(np.ones(p)), rng.dirichlet(np.ones(p))
+            mid = dim_objective(model, period, 0.5 * (a + b))
+            ends = 0.5 * (dim_objective(model, period, a) + dim_objective(model, period, b))
+            assert mid <= ends + 1e-10
+
+    @given(periodic_models)
+    @settings(max_examples=30, deadline=None)
+    def test_no_pairwise_move_improves_argmin(self, args):
+        # s + h (e_i - e_j) with h = min(1e-4, s_j): faces are moved onto, not across
+        model, period = _periodic_model(*args)
+        report = hausdorff_dimension(model, period)
+        s = report.argmin_s
+        for i in range(period.period):
+            for j in range(period.period):
+                h = min(1e-4, s[j])
+                if i == j or h <= 0:
+                    continue
+                moved = s.copy()
+                moved[i] += h
+                moved[j] -= h
+                assert dim_objective(model, period, moved) >= report.dim - 1e-10
 
 
 class TestGeneralUpperBound:
@@ -177,6 +229,18 @@ class TestGeneralUpperBound:
         )
         assert report.period == 2
         assert report.dim == pytest.approx(0.0, abs=1e-9)
+
+    def test_block_period_multiple_of_closure_period(self):
+        # 0<->1, 0->2, 2->{3,6}, {3,6}->4, 4->5, 5->2: the closure of 0 has
+        # period 2, the block {2..6} period 4, so the 2-step cycle on that
+        # block swaps two sub-classes
+        adj = np.zeros((7, 7), dtype=int)
+        for parent, children in [(0, [1, 2]), (1, [0]), (2, [3, 6]), (3, [4]),
+                                 (6, [4]), (4, [5]), (5, [2])]:
+            adj[children, parent] = 1
+        report = general_upper_bound(make_model(adj.tolist()))
+        assert report.period == 2
+        assert report.dim == pytest.approx(0.1155245301, abs=1e-9)
 
 
 class TestSpectralBound:
