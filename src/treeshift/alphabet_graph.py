@@ -350,16 +350,25 @@ def linear_spectral_radius(
 
 
 def _perron_value(block: np.ndarray, tol: float, max_iter: int) -> float:
-    """Perron root of an irreducible nonnegative block via shifted power iteration."""
+    """Perron root of an irreducible nonnegative block, certified by Collatz-Wielandt.
+
+    For a positive x the ratios ((B + I) x)_i / x_i bracket the root plus 1.
+    x starts as the modulus of numpy's eigenvector for the largest real
+    eigenvalue, which closes the bracket at once even where the spectral gap
+    is tiny.  If that seed has a zero entry or its bracket is not below
+    ``tol``, shifted power iteration continues from it.
+    """
     m = block.shape[0]
     if m == 1:
         return float(block[0, 0])
+    vals, vecs = np.linalg.eig(block)
+    x = np.abs(vecs[:, np.argmax(vals.real)])
     shifted = block + np.eye(m)
-    x = np.ones(m)
     lo, hi = 0.0, np.inf
     for _ in range(max_iter):
         y = shifted @ x
-        ratios = y / x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = y / x  # inf or nan (no bracket) while x has a zero entry
         lo, hi = ratios.min(), ratios.max()
         if hi - lo < tol:
             return 0.5 * (lo + hi) - 1.0

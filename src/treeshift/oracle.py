@@ -369,13 +369,13 @@ def finite_rate(
     """
     if period is None:
         period = find_a0_and_period(chain.base)
-    total = lattice_size(chain.arity, n)
+    total = float(lattice_size(chain.arity, n))
     mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
 
-    def value_and_slope(mu: float) -> tuple[float, float]:
+    def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         top, slope = _tilted_recursion(chain, mu, n, mask)
         return top / total, slope / total
 
     lo, hi = _extreme_sums(chain, n, mask)
-    value, _ = _legendre(alpha, value_and_slope, lo / total, hi / total)
-    return -value
+    value, _ = _legendre(np.array([alpha], dtype=float), value_and_slope, lo / total, hi / total)
+    return -float(value[0])

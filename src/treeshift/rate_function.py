@@ -15,15 +15,15 @@ congruent to j mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, inf, log, nan
+from math import floor, inf, isfinite, log, nan
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
 from .errors import ModelParseError, ModelValidationError, SupportViolation
-from .transfer_op import _lse_columns, log_weights
+from .transfer_op import log_weights
 
 STOCHASTIC_TOL = 1e-12
 PRESSURE_TOL = 1e-10
@@ -142,18 +142,19 @@ def tilted_matrix(chain: WeightedChainModel, mu) -> np.ndarray:
 
     A scalar ``mu`` gives the usual E = M * W^mu.  A matrix ``mu`` tilts each
     edge separately, log E = log M + mu (the per-edge exponent family); the
-    scalar case is the section mu_matrix = mu * log W of that family.
+    scalar case is the section mu_matrix = mu * log W of that family.  Either
+    form may carry a leading batch axis (``mu[K]`` or ``mu[K, n, n]``), which
+    gives ``log E[K, n, n]``.
     """
-    log_e = np.full(chain.M.shape, -np.inf)
+    mu = np.asarray(mu, dtype=float)
     sup = chain.base.adjacency == 1
-    if np.ndim(mu) == 0:
-        log_e[sup] = np.log(chain.M[sup]) + mu * np.log(chain.W[sup])
+    if mu.ndim <= 1:
+        tilt = mu[..., None, None] * np.where(sup, chain.log_w(), 0.0)
+    elif mu.shape[-2:] == chain.M.shape:
+        tilt = mu
     else:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != chain.M.shape:
-            raise ModelValidationError(f"edge tilt must have shape {chain.M.shape}")
-        log_e[sup] = np.log(chain.M[sup]) + mu[sup]
-    return log_e
+        raise ModelValidationError(f"edge tilt must have shape {chain.M.shape}")
+    return np.where(sup, chain.log_m() + tilt, -np.inf)
 
 
 def _recursion_constant(chain: WeightedChainModel) -> float:
@@ -169,31 +170,48 @@ def _certified_depth(scale: float, d: int, tol: float) -> int:
     return n + int(scale * d ** (-n) >= tol)  # log rounding at an exact power of d
 
 
-def _tilted_recursion(chain: WeightedChainModel, mu, n: int, mask) -> tuple[float, float]:
+def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     """max of x_n over the roots in ``mask``, and its derivative along log W.
 
         x_{k+1}[b]  = d lse_a(log E[a,b] + x_k[a])
         dx_{k+1}[b] = d sum_a softmax_a(log E[:,b] + x_k)[a] (log W[a,b] + dx_k[a])
 
     The value is exactly ``psi(log E, d, x)`` step by step; the tangent is its
-    forward-mode derivative in mu, so the slope costs no extra pass.
+    forward-mode derivative in mu, so the slope costs no extra pass.  One call
+    runs a batch of K tilts (``mu[K]``, or edge tilts ``mu[K, n, n]``), each
+    with its own depth ``n[K]`` and root mask ``mask[K, n_symbols]`` (a shared
+    depth or mask broadcasts): x and dx are [K, n_symbols] arrays, the batch
+    runs to its largest depth and each row is read out at its own.  A single
+    tilt with an int depth and a 1-D mask gives two floats.
     """
     d = chain.arity
+    size = chain.base.n_symbols
     log_e = tilted_matrix(chain, mu)
+    single = log_e.ndim == 2 and np.ndim(n) == 0 and np.ndim(mask) == 1
+    log_e = log_e.reshape((-1, size, size))
+    rows = log_e.shape[0]
+    depth = np.broadcast_to(n, rows)
+    mask = np.broadcast_to(mask, (rows, size))
     log_w = np.where(chain.base.adjacency == 1, chain.log_w(), 0.0)
-    x = np.zeros(chain.base.n_symbols)
+    x = np.zeros((rows, size))
     dx = np.zeros_like(x)
-    for _ in range(n):
-        z = log_e + x[:, None]
-        top = _lse_columns(z)
-        # renormalized: at large |mu| the rounding of ``top`` is no longer
-        # small against 1, and unnormalized weights would compound it
-        soft = np.exp(z - top)
-        soft /= soft.sum(axis=0)
-        dx = d * (soft * (log_w + dx[:, None])).sum(axis=0)
-        x = d * top
-    root = np.flatnonzero(mask)[np.argmax(x[mask])]
-    return float(x[root]), float(dx[root])
+    x_n, dx_n = x.copy(), dx.copy()  # a depth-0 row reads x_0 = 0
+    for k in range(1, int(depth.max(initial=0)) + 1):
+        z = log_e + x[:, :, None]
+        peak = z.max(axis=1, keepdims=True)
+        weight = np.exp(z - peak)
+        total = weight.sum(axis=1, keepdims=True)
+        # softmax from its own sum, not exp(z - lse): at large |mu| the
+        # rounding of the lse is no longer small against 1 and would compound
+        dx = d * (weight / total * (log_w + dx[:, :, None])).sum(axis=1)
+        x = d * (peak + np.log(total))[:, 0]
+        done = depth == k
+        x_n[done], dx_n[done] = x[done], dx[done]
+    root = np.where(mask, x_n, -np.inf).argmax(axis=1)
+    top, slope = x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
+    if single:
+        return float(top[0]), float(slope[0])
+    return top, slope
 
 
 def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[float, float]:
@@ -216,36 +234,54 @@ def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[
 
 
 def _legendre(
-    alpha: float, value_and_slope: Callable[[float], tuple[float, float]], lo: float, hi: float
-) -> tuple[float, float]:
-    """sup_mu (mu alpha - V(mu)) for a convex V whose slopes span [lo, hi].
+    alpha, value_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: float, hi: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sup_mu (mu alpha - V(mu)) over a batch of alphas, V convex with slopes spanning [lo, hi].
 
-    Returns (value, maximizing mu); (+inf, nan) outside the domain widened by
-    BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha,
-    bracketed by doubling from +-1 up to 2^MAX_DOUBLINGS and solved by
-    Brent's method.  At an edge of the domain the root lies at infinity, and
-    the cap stands in for it.
+    ``value_and_slope`` maps an array of mu to the arrays V(mu) and V'(mu),
+    row by row.  Returns the arrays (value, maximizing mu): (+inf, nan)
+    outside the domain widened by BOUNDARY_SLACK.  Inside it, the sup sits at
+    the root of V'(mu) = alpha.  Each root is bracketed by doubling from +-1
+    up to 2^MAX_DOUBLINGS, one call per round for the rows still expanding;
+    then one call of Chandrupatla's method solves every bracket at once.  At
+    an edge of the domain the root lies at infinity, and the cap stands in
+    for it.
     """
-    if not lo - BOUNDARY_SLACK <= alpha <= hi + BOUNDARY_SLACK:
-        return inf, nan
-
-    def excess(mu: float) -> float:
-        return value_and_slope(mu)[1] - alpha
-
+    alpha = np.asarray(alpha, dtype=float)
+    value = np.full(alpha.shape, inf)
+    argmax = np.full(alpha.shape, nan)
+    inside = (lo - BOUNDARY_SLACK <= alpha) & (alpha <= hi + BOUNDARY_SLACK)
+    if not inside.any():
+        return value, argmax
+    target = alpha[inside]
     cap = 2.0**MAX_DOUBLINGS
-    a, b = -1.0, 1.0
-    fa, fb = excess(a), excess(b)
-    while fa > 0 and a > -cap:
-        a, b, fb = 2.0 * a, a, fa
-        fa = excess(a)
-    while fb < 0 and b < cap:
-        a, b, fa = b, 2.0 * b, fb
-        fb = excess(b)
-    if fa >= 0 or fb <= 0:  # a root at the bracket's end, or beyond the cap
-        mu = a if fa >= 0 else b
-    else:
-        mu = brentq(excess, a, b, xtol=ROOT_XTOL)
-    return mu * alpha - value_and_slope(mu)[0], mu
+    a, b = np.full(target.size, -1.0), np.ones(target.size)
+    slope = value_and_slope(np.concatenate([a, b]))[1]
+    fa, fb = slope[: target.size] - target, slope[target.size:] - target
+    while True:
+        left = (fa > 0) & (a > -cap)
+        right = (fb < 0) & (b < cap) & ~left
+        if not (left.any() or right.any()):
+            break
+        b[left], fb[left] = a[left], fa[left]
+        a[left] *= 2.0
+        a[right], fa[right] = b[right], fb[right]
+        b[right] *= 2.0
+        slope = value_and_slope(np.concatenate([a[left], b[right]]))[1]
+        split = np.count_nonzero(left)
+        fa[left] = slope[:split] - target[left]
+        fb[right] = slope[split:] - target[right]
+    mu = np.where(fa >= 0, a, b)  # a root at the bracket's end, or beyond the cap
+    solve = (fa < 0) & (fb > 0)
+    if solve.any():
+        mu[solve] = find_root(
+            lambda m, t: value_and_slope(m)[1] - t, (a[solve], b[solve]), args=(target[solve],),
+            tolerances=dict(xatol=ROOT_XTOL, xrtol=0.0),
+        ).x
+    value[inside] = mu * target - value_and_slope(mu)[0]
+    argmax[inside] = mu
+    return value, argmax
 
 
 @dataclass(frozen=True)
@@ -256,6 +292,32 @@ class PressureResult:
     error_bound: float
     # derivative of the depth-n readout along log W (the pressure's slope in mu)
     slope: float
+
+
+def _check_tol(tol: float) -> None:
+    if not (isfinite(tol) and tol > 0):
+        raise ModelValidationError(f"pressure tolerance must be finite and > 0, got {tol!r}")
+
+
+def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int,
+                   period: PeriodStructure, tol: float):
+    """``pressure`` over a batch of tilts mu[K] (or mu[K, n, n]) in one recursion.
+
+    Returns the arrays (value, slope, depth, error bound); each row keeps its
+    own certified depth and class mask.
+    """
+    d = chain.arity
+    size = chain.base.n_symbols
+    mu_scale = np.abs(mu) if mu.ndim == 1 else np.abs(mu).max(axis=(1, 2))
+    scale = _recursion_constant(chain) * (mu_scale + 2.0)
+    depths = [_certified_depth(s, d, tol) for s in scale]
+    n = np.array(depths, dtype=int)
+    masks = np.array([period.class_mask(j, size) for j in range(period.period)])
+    top, slope = _tilted_recursion(chain, mu, n, masks[(class_index - n) % period.period])
+    # Python's float powers: numpy's can differ from them in the last bit
+    weight = np.array([(d - 1.0) / d ** (k + 1.0) for k in depths])
+    bound = scale * np.array([d ** -k for k in depths])
+    return weight * top, weight * slope, n, bound
 
 
 def pressure(
@@ -273,16 +335,13 @@ def pressure(
     C d^(-n) (|mu| + 2) drops below ``tol``.  The slope is read at the same
     root from the recursion's tangent.
     """
+    _check_tol(tol)
     if period is None:
         period = find_a0_and_period(chain.base)
-    d = chain.arity
-    mu_scale = abs(mu) if np.ndim(mu) == 0 else float(np.abs(mu).max())
-    scale = _recursion_constant(chain) * (mu_scale + 2.0)
-    n = _certified_depth(scale, d, tol)
-    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
-    top, slope = _tilted_recursion(chain, mu, n, mask)
-    weight = (d - 1.0) / d ** (n + 1.0)
-    return PressureResult(mu, weight * top, n, scale * d ** (-n), weight * slope)
+    value, slope, depth, bound = _pressure_rows(
+        chain, np.asarray(mu, dtype=float)[None], class_index, period, tol
+    )
+    return PressureResult(mu, float(value[0]), int(depth[0]), float(bound[0]), float(slope[0]))
 
 
 def rate(
@@ -301,6 +360,22 @@ def rate(
     return value
 
 
+def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
+               period: PeriodStructure, endpoints: tuple[float, float], tol: float):
+    """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth."""
+    passes, max_depth = 0, 0
+
+    def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal passes, max_depth
+        value, slope, depth, _ = _pressure_rows(chain, mu, class_index, period, tol)
+        passes += 1
+        max_depth = max(max_depth, int(depth.max(initial=0)))
+        return value, slope
+
+    values, argmax = _legendre(alphas, value_and_slope, *endpoints)
+    return values, argmax, passes, max_depth
+
+
 def rate_with_argmax(
     chain: WeightedChainModel,
     class_index: int,
@@ -310,17 +385,16 @@ def rate_with_argmax(
     pressure_tol: float = PRESSURE_TOL,
 ) -> tuple[float, float, bool]:
     """As ``rate`` but also reports the maximizing mu and finiteness."""
+    _check_tol(pressure_tol)
     if period is None:
         period = find_a0_and_period(chain.base)
     if endpoints is None:
         endpoints = domain_endpoints(chain, class_index, period)
-
-    def value_and_slope(mu: float) -> tuple[float, float]:
-        res = pressure(chain, mu, class_index, period, tol=pressure_tol)
-        return res.value, res.slope
-
-    value, mu = _legendre(alpha, value_and_slope, *endpoints)
-    return value, mu, value < inf
+    values, argmax, _, _ = _dual_rows(
+        chain, class_index, np.array([alpha], dtype=float), period, endpoints, pressure_tol
+    )
+    value = float(values[0])
+    return value, float(argmax[0]), value < inf
 
 
 def domain_endpoints(
@@ -416,7 +490,11 @@ def lln_beta_bounds(
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Rate-function values over an alpha grid, CSV-ready."""
+    """Rate-function values over an alpha grid, CSV-ready.
+
+    ``recursion_passes`` counts the batched tilted recursions that solved the
+    whole grid, and ``max_depth`` is the deepest of their rows.
+    """
 
     alphas: np.ndarray
     values: np.ndarray
@@ -425,6 +503,8 @@ class RateCurve:
     alpha2: float
     alpha_star: float
     class_index: int
+    recursion_passes: int
+    max_depth: int
 
     def rows(self):
         for a, v, m in zip(self.alphas, self.values, self.argmax_mu):
@@ -445,6 +525,8 @@ class RateCurve:
             "alpha_star": self.alpha_star,
             "n_points": int(self.alphas.size),
             "finite_points": int(np.isfinite(self.values).sum()),
+            "recursion_passes": self.recursion_passes,
+            "max_depth": self.max_depth,
         }
 
 
@@ -456,24 +538,26 @@ def rate_curve(
     period: PeriodStructure | None = None,
     pressure_tol: float = PRESSURE_TOL,
 ) -> RateCurve:
-    """Evaluate the rate over a uniform grid clipped around its finite domain."""
+    """Evaluate the rate over a uniform grid clipped around its finite domain.
+
+    Every grid point is solved in the same batched dual: one tilted recursion
+    per bracket round and per root-solver step, over all points at once.
+    """
+    if n_points < 0:
+        raise ModelValidationError(f"need n_points >= 0, got {n_points}")
+    _check_tol(pressure_tol)
     if period is None:
         period = find_a0_and_period(chain.base)
     a1, a2 = domain_endpoints(chain, class_index, period)
     if margin is None:
         margin = max(0.05 * (a2 - a1), 0.01)
     alphas = np.linspace(a1 - margin, a2 + margin, n_points)
-    values = np.empty(n_points)
-    argmax = np.empty(n_points)
-    for i, a in enumerate(alphas):
-        v, mu, _ = rate_with_argmax(
-            chain, class_index, float(a), period=period, endpoints=(a1, a2),
-            pressure_tol=pressure_tol,
-        )
-        values[i] = v
-        argmax[i] = mu
+    values, argmax, passes, max_depth = _dual_rows(
+        chain, class_index, alphas, period, (a1, a2), pressure_tol
+    )
     alpha_star = lln_limit(chain, class_index, period)
     return RateCurve(
         alphas=alphas, values=values, argmax_mu=argmax,
         alpha1=a1, alpha2=a2, alpha_star=alpha_star, class_index=class_index,
+        recursion_passes=passes, max_depth=max_depth,
     )

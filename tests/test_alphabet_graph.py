@@ -185,6 +185,23 @@ class TestSpectralRadius:
         w = np.array([[0.0, 5.0, 1.0], [0.0, 0.0, 7.0], [0.0, 0.0, 2.0]])
         assert linear_spectral_radius(w) == pytest.approx(log(2), abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7])
+    def test_slow_mixing_stochastic(self, eps):
+        # spectral gap 3 eps: shifted power iteration alone hit its step cap
+        w = np.array([[1 - eps, 2 * eps], [eps, 1 - 2 * eps]])
+        assert linear_spectral_radius(w) == pytest.approx(0.0, abs=1e-12)
+
+    def test_long_cycle_with_chord(self):
+        # the cycle 0 -> 1 -> ... -> 399 -> 0 plus the chord 0 -> 200: walks
+        # from 0 first return after 400 or 201 steps, so the Perron root
+        # solves rho^-400 + rho^-201 = 1
+        n = 400
+        w = np.zeros((n, n))
+        w[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+        w[n // 2, 0] = 1.0
+        rho = np.exp(linear_spectral_radius(w))
+        assert rho ** -n + rho ** -(n // 2 + 1) == pytest.approx(1.0, abs=1e-11)
+
     @given(st.integers(2, 6), st.integers(0, 2**36 - 1))
     @settings(max_examples=40, deadline=None)
     def test_transpose_invariance(self, n, seed):

@@ -206,6 +206,27 @@ class TestRate:
         result = run_cli(["rate", write_model(FULL2), "--csv", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option", [
+        ["--pressure-tol", "nan"],
+        ["--pressure-tol", "0"],
+        ["--pressure-tol", "-1"],
+        ["--grid-points", "-3"],
+    ])
+    def test_bad_input_exits_validation(self, write_model, tmp_path, option):
+        csv_path = tmp_path / "x.csv"
+        result = run_cli(
+            ["rate", write_model(EXAMPLE1), "--csv", str(csv_path), "--grid-points", "5", *option]
+        )
+        assert result.exit_code == 3
+        assert not csv_path.exists()
+
+    def test_payload_reports_recursion(self, write_model, tmp_path):
+        payload = run_json(
+            ["rate", write_model(EXAMPLE1), "--csv", str(tmp_path / "x.csv"), "--grid-points", "20"]
+        )
+        assert payload["recursion_passes"] > 0
+        assert payload["max_depth"] > 0
+
 
 class TestLln:
     def test_extreme_phases_and_betas(self, write_model):

@@ -17,10 +17,13 @@ from treeshift import (
     rate_curve,
     tilted_matrix,
 )
+from treeshift import rate_function
 from treeshift.errors import ModelValidationError, SupportViolation
 from treeshift.rate_function import (
+    MAX_DOUBLINGS,
     _tilted_recursion,
     parse_weighted,
+    rate_with_argmax,
     stationary_class_vector,
 )
 from treeshift.tree_core import lattice_size
@@ -241,6 +244,35 @@ class TestExactDual:
         assert rate(chain, 0, a2 + 1e-6, period) == inf
         assert rate(chain, 0, 0.5 * (a1 + a2), period) < inf
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_curve_rows_match_single_rates(self, seed):
+        # a row's result does not depend on the batch it is solved in
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        for j in range(period.period):
+            curve = rate_curve(chain, j, n_points=9, period=period)
+            single = np.array([rate(chain, j, float(a), period) for a in curve.alphas])
+            finite = np.isfinite(single)
+            assert np.array_equal(np.isfinite(curve.values), finite)
+            assert np.abs(curve.values[finite] - single[finite]).max(initial=0.0) < 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_grid_ends_at_doubling_cap(self, seed):
+        # just inside the slack past each endpoint the slope root lies beyond
+        # the cap, which stands in for it, in the batch as for a single point
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        for j in range(period.period):
+            curve = rate_curve(chain, j, n_points=5, margin=1e-8, period=period)
+            cap = 2.0**MAX_DOUBLINGS
+            assert curve.argmax_mu[0] == -cap and curve.argmax_mu[-1] == cap
+            for i in (0, -1):
+                value, mu, finite = rate_with_argmax(chain, j, float(curve.alphas[i]), period)
+                assert finite and mu == curve.argmax_mu[i]
+                assert value == pytest.approx(curve.values[i], abs=1e-12)
+
 
 class TestLln:
     def test_example1_limit(self, example1):
@@ -356,6 +388,46 @@ class TestRateCurve:
         fa, fb = np.isfinite(ca.values), np.isfinite(cb.values)
         assert np.array_equal(fa, fb)
         assert ca.values[fa] == pytest.approx(cb.values[fb].tolist(), abs=1e-7)
+
+    def test_degenerate_domain_needs_no_recursion(self, flat_chain):
+        # a1 = a2: every grid point lies outside the domain
+        curve = rate_curve(flat_chain, 0, n_points=10)
+        assert np.all(curve.values == inf) and np.all(np.isnan(curve.argmax_mu))
+        assert curve.recursion_passes == 0 and curve.max_depth == 0
+
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_tiny_grids(self, example1, n_points):
+        curve = rate_curve(example1, 0, n_points=n_points)
+        assert curve.values.shape == curve.argmax_mu.shape == (n_points,)
+        assert curve.summary()["n_points"] == n_points
+        if n_points:
+            assert curve.values[0] == inf  # the grid's left end, outside the domain
+
+    def test_summary_counts_recursion_passes(self, example1, monkeypatch):
+        depths = []
+        kernel = rate_function._tilted_recursion
+
+        def counted(chain, mu, n, mask):
+            depths.append(int(np.max(n)))
+            return kernel(chain, mu, n, mask)
+
+        monkeypatch.setattr(rate_function, "_tilted_recursion", counted)
+        summary = rate_curve(example1, 0, n_points=30).summary()
+        assert summary["recursion_passes"] == len(depths) > 0
+        assert summary["max_depth"] == max(depths)
+
+    @pytest.mark.parametrize("bad", [
+        {"pressure_tol": float("nan")},
+        {"pressure_tol": 0.0},
+        {"pressure_tol": -1.0},
+        {"n_points": -3},
+    ])
+    def test_bad_inputs_refused(self, example1, bad):
+        with pytest.raises(ModelValidationError):
+            rate_curve(example1, 0, **bad)
+        if "pressure_tol" in bad:
+            with pytest.raises(ModelValidationError):
+                pressure(example1, 0.5, tol=bad["pressure_tol"])
 
     def test_csv_format(self, tmp_path, flat_chain):
         curve = rate_curve(flat_chain, 0, n_points=10)

@@ -2,6 +2,8 @@ from math import log, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     SampleConfig,
@@ -58,6 +60,21 @@ class TestSampleTree:
             for trial in range(5):
                 tree = sample_tree(chain, SampleConfig(depth=7, seed=3), trial)
                 validate_admissible(tree, chain.base)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sparse_chains_sample_admissible_trees(self, seed, n, d):
+        # sparse irreducible support: a Hamiltonian cycle plus a few edges
+        rng = np.random.default_rng(seed)
+        adj = (rng.random((n, n)) < 0.25).astype(int)
+        cycle = rng.permutation(n)
+        adj[np.roll(cycle, -1), cycle] = 1
+        m = np.where(adj == 1, rng.random((n, n)) + 0.01, 0.0)
+        chain = chain_from_matrices(m / m.sum(axis=0, keepdims=True), d=d)
+        for sample_seed in range(3):
+            for depth in (1, 3, 5):
+                cfg = SampleConfig(depth=depth, seed=sample_seed, root=int(rng.integers(n)))
+                validate_admissible(sample_tree(chain, cfg, trial=sample_seed), chain.base)
 
     def test_overflow_draw_stays_admissible(self):
         # column 0 sums to 1 - 4e-13 (inside the stochastic tolerance) and
