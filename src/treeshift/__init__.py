@@ -22,7 +22,6 @@ from .dimension import (
     DimensionReport,
     ExponentVector,
     OptimalMeasure,
-    SimplexPoint,
     dim_objective,
     general_upper_bound,
     hausdorff_dimension,
@@ -55,7 +54,6 @@ from .stochastic import (
 )
 from .transfer_op import (
     EigenPair,
-    LogVector,
     apply_l,
     entropy_iterate,
     principal_eigenpair,

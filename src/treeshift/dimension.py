@@ -59,21 +59,6 @@ NM_XTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
-    """Nonnegative weights summing to 1; parameterizes the exponent set."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if (s < -SIMPLEX_TOL).any() or abs(s.sum() - 1.0) > 1e-9:
-            raise ModelValidationError(f"not a simplex point: {s}")
-        s = np.clip(s, 0.0, None)
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
-
-
-@dataclass(frozen=True)
 class ExponentVector:
     """r in (0, d]^p with product 1, plus the simplex weights q it came from."""
 
@@ -88,7 +73,10 @@ class ExponentVector:
 
 def simplex_to_ratios(s, d: int, p: int) -> ExponentVector:
     """The bijection from the simplex onto the admissible exponent vectors."""
-    s = SimplexPoint(np.asarray(s, dtype=float)).s
+    s = np.asarray(s, dtype=float)
+    if (s < -SIMPLEX_TOL).any() or abs(s.sum() - 1.0) > 1e-9:
+        raise ModelValidationError(f"not a simplex point: {s}")
+    s = np.clip(s, 0.0, None)
     if s.shape != (p,):
         raise ModelValidationError(f"expected {p} simplex coordinates, got {s.shape}")
     scale = (d**p - d ** (p - 1)) / (d**p - 1.0)
@@ -132,27 +120,22 @@ def dim_objective(
     period: PeriodStructure,
     s,
     class_index: int = 0,
-    rotate: bool = True,
     eigen_tol: float = EIGEN_TOL,
 ) -> float:
     """Rotated coefficient times the log principal eigenvalue on cone j.
 
-    With ``rotate`` the cycle on cone j starts at exponent r_{p-j} (the step
-    the covering recursion applies to class-j vectors) and the matching
-    coefficient is the bijection component q_{p-j}; that pairing makes the
-    value independent of j, to roundoff.  The literal unrotated pairing is
-    kept behind the flag for comparison.
+    The cycle on cone j starts at exponent r_{p-j} (the step the covering
+    recursion applies to class-j vectors) and the matching coefficient is the
+    bijection component q_{p-j}; that pairing makes the value independent of
+    j, to roundoff.
     """
     p = period.period
     param = simplex_to_ratios(s, model.arity, p)
     j = class_index % p
-    coeff = param.q[(p - j) % p] if rotate else param.coefficient
-    pair = principal_eigenpair(
-        model, period, param.r, class_index=j, rotate=rotate, tol=eigen_tol
-    )
+    pair = principal_eigenpair(model, period, param.r, class_index=j, tol=eigen_tol)
     if not np.isfinite(pair.log_rho):
         return -inf
-    return float(coeff * pair.log_rho)
+    return float(param.q[(p - j) % p] * pair.log_rho)
 
 
 def _simplex_grid(p: int, step_denom: int):
@@ -445,10 +428,8 @@ def optimal_markov_measure(
     n = model.n_symbols
     log_adj = log_weights(model.adjacency)
 
-    pair = principal_eigenpair(
-        model, period, report.argmin_r, class_index=0, rotate=True, tol=eigen_tol
-    )
-    w_chain = [pair.eigvec.values]
+    pair = principal_eigenpair(model, period, report.argmin_r, class_index=0, tol=eigen_tol)
+    w_chain = [pair.eigvec]
     for j in range(p):
         nxt = psi(log_adj, float(report.argmin_r[j % p]), w_chain[-1])
         w_chain.append(nxt - logsumexp(nxt))

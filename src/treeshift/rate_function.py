@@ -6,7 +6,8 @@ x_n for the log of the E-weighted partition function over depth-n trees
 
     x_0 = 0,    x_{n+1} = d * log(E^T exp(x_n)),
 
-i.e. exactly ``transfer_op.psi`` with weight E and exponent d.  The pressure
+i.e. exactly ``transfer_op.psi`` with weight E and exponent d, which also
+carries the forward tangent in mu (direction log W).  The pressure
 is lim (d-1)/d^(n+1) * max of x_n over the class that roots a depth-n tree
 whose bottom level lies in class j; the Legendre-type dual of the pressure in
 mu is the rate function for conditional sample means observed at depths
@@ -23,13 +24,14 @@ from scipy.optimize.elementwise import find_root
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
 from .errors import ModelParseError, ModelValidationError, SupportViolation
-from .transfer_op import log_weights
+from .transfer_op import log_weights, psi
 
 STOCHASTIC_TOL = 1e-12
 PRESSURE_TOL = 1e-10
 MAX_DOUBLINGS = 40
 BOUNDARY_SLACK = 1e-7
-# the dual's error from a root off by dmu is second order, about P''(mu) dmu^2
+# the dual is read off the final root bracket: exact where the depth-n readout
+# has a kink, elsewhere off by about P''(mu) ROOT_XTOL^2
 ROOT_XTOL = 1e-8
 
 
@@ -176,7 +178,7 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
         x_{k+1}[b]  = d lse_a(log E[a,b] + x_k[a])
         dx_{k+1}[b] = d sum_a softmax_a(log E[:,b] + x_k)[a] (log W[a,b] + dx_k[a])
 
-    The value is exactly ``psi(log E, d, x)`` step by step; the tangent is its
+    Each step is one ``psi(log E, d, x, log W, dx)`` call: the tangent is the
     forward-mode derivative in mu, so the slope costs no extra pass.  One call
     runs a batch of K tilts (``mu[K]``, or edge tilts ``mu[K, n, n]``), each
     with its own depth ``n[K]`` and root mask ``mask[K, n_symbols]`` (a shared
@@ -197,14 +199,7 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     dx = np.zeros_like(x)
     x_n, dx_n = x.copy(), dx.copy()  # a depth-0 row reads x_0 = 0
     for k in range(1, int(depth.max(initial=0)) + 1):
-        z = log_e + x[:, :, None]
-        peak = z.max(axis=1, keepdims=True)
-        weight = np.exp(z - peak)
-        total = weight.sum(axis=1, keepdims=True)
-        # softmax from its own sum, not exp(z - lse): at large |mu| the
-        # rounding of the lse is no longer small against 1 and would compound
-        dx = d * (weight / total * (log_w + dx[:, :, None])).sum(axis=1)
-        x = d * (peak + np.log(total))[:, 0]
+        x, dx = psi(log_e, d, x, log_w, dx)
         done = depth == k
         x_n[done], dx_n[done] = x[done], dx[done]
     root = np.where(mask, x_n, -np.inf).argmax(axis=1)
@@ -240,14 +235,24 @@ def _legendre(
     """sup_mu (mu alpha - V(mu)) over a batch of alphas, V convex with slopes spanning [lo, hi].
 
     ``value_and_slope`` maps an array of mu to the arrays V(mu) and V'(mu),
-    row by row.  Returns the arrays (value, maximizing mu): (+inf, nan)
-    outside the domain widened by BOUNDARY_SLACK.  Inside it, the sup sits at
-    the root of V'(mu) = alpha.  Each root is bracketed by doubling from +-1
-    up to 2^MAX_DOUBLINGS, one call per round for the rows still expanding;
-    then one call of Chandrupatla's method solves every bracket at once.  At
-    an edge of the domain the root lies at infinity, and the cap stands in
-    for it.
+    row by row; it is called once per distinct mu.  Returns the arrays
+    (value, maximizing mu): (+inf, nan) outside the domain widened by
+    BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha.
+    Each root is bracketed by doubling from +-1 up to 2^MAX_DOUBLINGS, one
+    call per round for the rows still expanding; then one call of
+    Chandrupatla's method solves every bracket at once.  At an edge of the
+    domain the root lies at infinity, and the cap stands in for it.
     """
+    known: dict[float, tuple[float, float]] = {}
+
+    def evaluate(mu: np.ndarray) -> np.ndarray:
+        # find_root evaluates its bracket ends again, and the readout needs
+        # the final ends' values: both were seen before
+        new = np.unique([m for m in mu.tolist() if m not in known])
+        if new.size:
+            known.update(zip(new.tolist(), zip(*value_and_slope(new))))
+        return np.array([known[m] for m in mu.tolist()]).reshape(-1, 2).T
+
     alpha = np.asarray(alpha, dtype=float)
     value = np.full(alpha.shape, inf)
     argmax = np.full(alpha.shape, nan)
@@ -257,7 +262,7 @@ def _legendre(
     target = alpha[inside]
     cap = 2.0**MAX_DOUBLINGS
     a, b = np.full(target.size, -1.0), np.ones(target.size)
-    slope = value_and_slope(np.concatenate([a, b]))[1]
+    slope = evaluate(np.concatenate([a, b]))[1]
     fa, fb = slope[: target.size] - target, slope[target.size:] - target
     while True:
         left = (fa > 0) & (a > -cap)
@@ -268,18 +273,30 @@ def _legendre(
         a[left] *= 2.0
         a[right], fa[right] = b[right], fb[right]
         b[right] *= 2.0
-        slope = value_and_slope(np.concatenate([a[left], b[right]]))[1]
+        slope = evaluate(np.concatenate([a[left], b[right]]))[1]
         split = np.count_nonzero(left)
         fa[left] = slope[:split] - target[left]
         fb[right] = slope[split:] - target[right]
     mu = np.where(fa >= 0, a, b)  # a root at the bracket's end, or beyond the cap
+    xl, xr = mu.copy(), mu.copy()
     solve = (fa < 0) & (fb > 0)
     if solve.any():
-        mu[solve] = find_root(
-            lambda m, t: value_and_slope(m)[1] - t, (a[solve], b[solve]), args=(target[solve],),
+        res = find_root(
+            lambda m, t: evaluate(m)[1] - t, (a[solve], b[solve]), args=(target[solve],),
             tolerances=dict(xatol=ROOT_XTOL, xrtol=0.0),
-        ).x
-    value[inside] = mu * target - value_and_slope(mu)[0]
+        )
+        mu[solve] = res.x
+        xl[solve], xr[solve] = res.bracket
+    # the value is mu alpha minus the larger of the two tangent lines at the
+    # final bracket's ends, read where they cross; this interpolates the dual
+    # between the end slopes g, where it is g mu - V(mu).  It is exact at a
+    # kink of V and second order in the bracket width elsewhere; a row with
+    # no bracket (xl = xr) reads its point
+    (vl, vr), (gl, gr) = (np.split(out, 2) for out in evaluate(np.concatenate([xl, xr])))
+    up, down = target - gl, gr - target
+    with np.errstate(invalid="ignore"):
+        crossing = (down * (gl * xl - vl) + up * (gr * xr - vr)) / (up + down)
+    value[inside] = np.where(up + down > 0, crossing, xl * target - vl)
     argmax[inside] = mu
     return value, argmax
 
@@ -344,22 +361,6 @@ def pressure(
     return PressureResult(mu, float(value[0]), int(depth[0]), float(bound[0]), float(slope[0]))
 
 
-def rate(
-    chain: WeightedChainModel,
-    class_index: int,
-    alpha: float,
-    period: PeriodStructure | None = None,
-    endpoints: tuple[float, float] | None = None,
-    pressure_tol: float = PRESSURE_TOL,
-) -> float:
-    """Legendre-type dual sup_mu (mu alpha - pressure(mu)); +inf outside the domain."""
-    value, _, _ = rate_with_argmax(
-        chain, class_index, alpha, period=period, endpoints=endpoints,
-        pressure_tol=pressure_tol,
-    )
-    return value
-
-
 def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
                period: PeriodStructure, endpoints: tuple[float, float], tol: float):
     """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth."""
@@ -376,25 +377,24 @@ def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
     return values, argmax, passes, max_depth
 
 
-def rate_with_argmax(
+def rate(
     chain: WeightedChainModel,
     class_index: int,
     alpha: float,
     period: PeriodStructure | None = None,
     endpoints: tuple[float, float] | None = None,
     pressure_tol: float = PRESSURE_TOL,
-) -> tuple[float, float, bool]:
-    """As ``rate`` but also reports the maximizing mu and finiteness."""
+) -> float:
+    """Legendre-type dual sup_mu (mu alpha - pressure(mu)); +inf outside the domain."""
     _check_tol(pressure_tol)
     if period is None:
         period = find_a0_and_period(chain.base)
     if endpoints is None:
         endpoints = domain_endpoints(chain, class_index, period)
-    values, argmax, _, _ = _dual_rows(
+    values = _dual_rows(
         chain, class_index, np.array([alpha], dtype=float), period, endpoints, pressure_tol
-    )
-    value = float(values[0])
-    return value, float(argmax[0]), value < inf
+    )[0]
+    return float(values[0])
 
 
 def domain_endpoints(

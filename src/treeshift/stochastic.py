@@ -64,12 +64,18 @@ def _root_label(chain: WeightedChainModel, config: SampleConfig, trial: int) -> 
 def _next_level(chain, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one full level given the parent labels per slot.
 
-    A draw past a column total that rounds below 1 takes the parent's last
-    supported child, so every drawn edge is admissible.
+    The label is the count of the parent column's cumulative sums at or below
+    u: the slots are grouped by parent symbol and each group takes one binary
+    search, so memory stays linear in the level.  A draw past a column total
+    that rounds below 1 takes the parent's last supported child, so every
+    drawn edge is admissible.
     """
     cum = np.cumsum(chain.M, axis=0)
-    thresholds = cum[:, parents]
-    labels = (u[None, :] >= thresholds).sum(axis=0)
+    order = np.argsort(parents, kind="stable")
+    ends = np.cumsum(np.bincount(parents, minlength=cum.shape[1]))
+    labels = np.empty(u.size, dtype=np.intp)
+    for b, slots in enumerate(np.split(order, ends[:-1])):
+        labels[slots] = np.searchsorted(cum[:, b], u[slots], side="right")
     last_child = chain.M.shape[0] - 1 - np.argmax(chain.M[::-1] > 0, axis=0)
     return np.minimum(labels, last_child[parents]).astype(np.int16)
 

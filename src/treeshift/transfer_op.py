@@ -10,8 +10,12 @@ step the covering recursion applies to class-j vectors carries exponent
 r_{p-j}.  The cycle used on cone j therefore starts at index (p - j) mod p;
 rotation 0 is the plain composition, which is also the cone-0 case.  The
 companion coefficient in the dimension objective rotates the same way, which
-makes the per-cone objective values agree (see ``dimension``).  The unrotated
-pairing is available via ``rotate=False`` for comparison.
+makes the per-cone objective values agree (see ``dimension``).
+
+``psi`` is the one log-sum-exp step of the package.  It takes a batch (a
+leading axis on the matrix, the vector, or both) and, on request, carries a
+forward tangent; the rate function's tilted recursion runs on it too.
+Eigenvectors are plain log arrays.
 """
 from __future__ import annotations
 
@@ -26,43 +30,6 @@ from .errors import BadExponent, NoConvergence
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 10**4
 PRODUCT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LogVector:
-    """A nonnegative vector stored as logs; -inf marks entries that are exactly 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
-    @classmethod
-    def from_linear(cls, x) -> "LogVector":
-        x = np.asarray(x, dtype=float)
-        if (x < 0).any():
-            raise ValueError("log vectors encode nonnegative data")
-        with np.errstate(divide="ignore"):
-            return cls(np.log(x))
-
-    @classmethod
-    def indicator(cls, n: int, mask) -> "LogVector":
-        vals = np.full(n, -np.inf)
-        vals[np.asarray(mask)] = 0.0
-        return cls(vals)
-
-    def normalized(self) -> "LogVector":
-        return LogVector(self.values - logsumexp(self.values))
-
-    def to_linear(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.values)
 
 
 def log_weights(w) -> np.ndarray:
@@ -81,30 +48,39 @@ def logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.exp(x - m).sum()))
 
 
-def _lse_columns(m: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp of a matrix that may contain -inf."""
-    tops = m.max(axis=0)
-    out = np.full(m.shape[1], -np.inf)
-    finite = tops > -np.inf
-    if finite.any():
-        with np.errstate(invalid="ignore"):
-            out[finite] = tops[finite] + np.log(
-                np.exp(m[:, finite] - tops[finite]).sum(axis=0)
-            )
-    return out
-
-
-def psi(log_w: np.ndarray, s: float, log_x: np.ndarray) -> np.ndarray:
+def psi(log_w: np.ndarray, s: float, log_x: np.ndarray, dlog_w=None, dx=None):
     """One transfer step: component b of the result is s * log sum_a w[a,b] x[a].
 
-    Accepts a weighted matrix, which generalizes the 0/1 adjacency case; the
-    rate-function recursion relies on that.
+    ``log_w`` is [..., n, n] and ``log_x`` is [..., n]; leading axes broadcast,
+    so one call steps a whole batch.  Accepts a weighted matrix, which
+    generalizes the 0/1 adjacency case; the rate-function recursion relies on
+    that.  Given a tangent direction ``dlog_w`` (of the matrix) and ``dx`` (of
+    the vector), also returns the step's forward derivative
+
+        dx_next[b] = s * sum_a softmax_a(log_w[:, b] + x)[a] (dlog_w[a, b] + dx[a]).
+
+    A column with no support maps to -inf, with a nan tangent.
     """
     if s <= 0:
         raise BadExponent(f"exponent must be positive, got {s}")
     x = np.asarray(log_x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return s * _lse_columns(log_w + x[:, None])
+    if x.ndim == 1 and dlog_w is None:
+        # a zero entry adds nothing; cone vectors are mostly zeros
+        keep = x > -np.inf
+        log_w, x = log_w[..., keep, :], x[keep]
+    z = log_w + x[..., :, None]
+    peak = z.max(axis=-2, keepdims=True, initial=-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.where(peak > -np.inf, peak, 0.0)
+        z -= peak
+        weight = np.exp(z, out=z)
+        total = weight.sum(axis=-2, keepdims=True)
+        x = s * (peak + np.log(total))[..., 0, :]
+        if dlog_w is None:
+            return x
+        # softmax from its own sum, not exp(z - lse): at large weights the
+        # rounding of the lse is no longer small against 1 and would compound
+        return x, s * (weight / total * (dlog_w + dx[..., :, None])).sum(axis=-2)
 
 
 def _check_exponents(r: np.ndarray, d: int) -> np.ndarray:
@@ -134,10 +110,13 @@ def apply_l(model: AdjacencyModel, r, log_x: np.ndarray, rotation: int = 0) -> n
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenvalue (log) and normalized eigenvector on one cone."""
+    """Principal eigenvalue and normalized eigenvector on one cone, both as logs.
+
+    ``eigvec`` is -inf exactly off the eigenvector's support.
+    """
 
     log_rho: float
-    eigvec: LogVector
+    eigvec: np.ndarray
     class_index: int
     iterations: int
     residual: float
@@ -148,7 +127,6 @@ def principal_eigenpair(
     period: PeriodStructure,
     r,
     class_index: int = 0,
-    rotate: bool = True,
     tol: float = EIGEN_TOL,
     max_iter: int = EIGEN_MAX_ITER,
 ) -> EigenPair:
@@ -169,15 +147,15 @@ def principal_eigenpair(
         raise BadExponent(f"need {period.period} exponents, got {len(r)}")
     log_adj = log_weights(model.adjacency)
     j = class_index % period.period
-    x = LogVector.indicator(model.n_symbols, period.class_mask(j, model.n_symbols)).values
-    rotation = (period.period - j) % period.period if rotate else 0
+    x = np.where(period.class_mask(j, model.n_symbols), 0.0, -np.inf)
+    rotation = (period.period - j) % period.period
     lo = hi = np.nan
     for it in range(1, max_iter + 1):
         lx = _cycle(log_adj, r, x, rotation)
         support = np.isfinite(lx)
         if not support.any():
             # the cone collapses: eigenvalue 0
-            return EigenPair(-np.inf, LogVector(lx), j, it, 0.0)
+            return EigenPair(-np.inf, lx, j, it, 0.0)
         invariant = (support == np.isfinite(x)).all()
         if invariant:
             diffs = lx[support] - x[support]
@@ -185,8 +163,8 @@ def principal_eigenpair(
         y = np.logaddexp(x, lx) if invariant and it > 1 else lx
         x = y - logsumexp(y)
         if hi - lo < tol:
-            return EigenPair(0.5 * (lo + hi), LogVector(x), j, it, hi - lo)
-    best = EigenPair(0.5 * (lo + hi), LogVector(x), j, max_iter, hi - lo)
+            return EigenPair(0.5 * (lo + hi), x, j, it, hi - lo)
+    best = EigenPair(0.5 * (lo + hi), x, j, max_iter, hi - lo)
     raise NoConvergence(
         f"eigen bracket width {hi - lo:.3e} after {max_iter} iterations",
         bracket=(lo, hi),

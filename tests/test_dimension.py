@@ -92,21 +92,6 @@ class TestObjective:
             v1 = dim_objective(period2, period, [s0, 1 - s0], 1)
             assert v0 == pytest.approx(v1, abs=1e-11)
 
-    def test_literal_pairing_flag(self, period2, nine):
-        # the unrotated pairing stays available for comparison; it coincides
-        # with the rotated one on cone 0 and for period 2, and genuinely
-        # differs on other cones at period 3
-        period = find_a0_and_period(period2)
-        s = [0.4, 0.6]
-        assert dim_objective(period2, period, s, 0, rotate=False) == pytest.approx(
-            dim_objective(period2, period, s, 0, rotate=True), abs=1e-11
-        )
-        period9 = find_a0_and_period(nine)
-        s9 = [0.3, 0.5, 0.2]
-        rotated = dim_objective(nine, period9, s9, 1, rotate=True)
-        literal = dim_objective(nine, period9, s9, 1, rotate=False)
-        assert abs(rotated - literal) > 1e-4
-
 
 class TestHausdorff:
     def test_full_shifts(self, full2, full3):

@@ -19,11 +19,13 @@ from treeshift import (
 )
 from treeshift import rate_function
 from treeshift.errors import ModelValidationError, SupportViolation
+from treeshift.oracle import finite_rate
 from treeshift.rate_function import (
     MAX_DOUBLINGS,
+    PRESSURE_TOL,
+    _dual_rows,
     _tilted_recursion,
     parse_weighted,
-    rate_with_argmax,
     stationary_class_vector,
 )
 from treeshift.tree_core import lattice_size
@@ -268,10 +270,23 @@ class TestExactDual:
             curve = rate_curve(chain, j, n_points=5, margin=1e-8, period=period)
             cap = 2.0**MAX_DOUBLINGS
             assert curve.argmax_mu[0] == -cap and curve.argmax_mu[-1] == cap
+            ends = (curve.alpha1, curve.alpha2)
             for i in (0, -1):
-                value, mu, finite = rate_with_argmax(chain, j, float(curve.alphas[i]), period)
-                assert finite and mu == curve.argmax_mu[i]
-                assert value == pytest.approx(curve.values[i], abs=1e-12)
+                value, mu, _, _ = _dual_rows(
+                    chain, j, curve.alphas[[i]], period, ends, PRESSURE_TOL
+                )
+                assert value[0] < inf and mu[0] == curve.argmax_mu[i]
+                assert value[0] == pytest.approx(curve.values[i], abs=1e-12)
+
+    def test_dual_value_exact_at_kink(self, monkeypatch):
+        # at n = 1 the maximizing root of the readout switches near the root
+        # of V'(mu) = alpha, so V has a kink there; a point readout at the
+        # solver's mu was off by 9.7e-9, the bracket's tangent lines are not
+        chain = random_weighted_chain(55)
+        period = find_a0_and_period(chain.base)
+        value = finite_rate(chain, 0, 1, -0.2, period)
+        monkeypatch.setattr(rate_function, "ROOT_XTOL", 1e-15)
+        assert abs(value - finite_rate(chain, 0, 1, -0.2, period)) < 1e-12
 
 
 class TestLln:

@@ -89,6 +89,29 @@ class TestSampleTree:
         plain = (u[None, :] >= np.cumsum(m, axis=0)[:, parents]).sum(axis=0)
         assert np.array_equal(_next_level(chain, parents, u), plain)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_next_level_matches_broadcast_reference(self, seed, n):
+        # the per-parent binary search gives the labels of the old
+        # n_symbols x level threshold table, also for draws that hit a
+        # cumulative value exactly and at the largest draw below 1
+        rng = np.random.default_rng(seed)
+        adj = (rng.random((n, n)) < 0.5).astype(int)
+        adj[rng.integers(n, size=n), np.arange(n)] = 1
+        m = np.where(adj == 1, rng.random((n, n)) + 0.05, 0.0)
+        chain = chain_from_matrices(m / m.sum(axis=0, keepdims=True), d=2)
+        cum = np.cumsum(chain.M, axis=0)
+        parents = rng.integers(n, size=500)
+        u = rng.random(500)
+        ties = rng.integers(500, size=40)
+        u[ties] = cum[rng.integers(n, size=40), parents[ties]]
+        u[rng.integers(500, size=20)] = np.nextafter(1.0, 0.0)
+        labels = (u[None, :] >= cum[:, parents]).sum(axis=0)
+        last_child = n - 1 - np.argmax(chain.M[::-1] > 0, axis=0)
+        want = np.minimum(labels, last_child[parents]).astype(np.int16)
+        got = _next_level(chain, parents, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_root_distribution(self, example1):
         pi = np.array([0.25, 0.75])
         roots = [

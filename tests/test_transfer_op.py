@@ -16,7 +16,7 @@ from treeshift import (
 )
 from treeshift.errors import BadExponent
 from treeshift.oracle import block_counts
-from treeshift.transfer_op import LogVector, log_weights
+from treeshift.transfer_op import log_weights
 
 from conftest import make_model, random_a0_matrix
 
@@ -45,6 +45,59 @@ class TestPsi:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(BadExponent):
             psi(log_weights(np.ones((2, 2))), 0.0, log_vec(0, 0))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+           st.floats(0.1, 3.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_equal_single_calls(self, seed, rows, n, s, shared):
+        # a row's step does not depend on the batch it runs in, bit for bit,
+        # for a per-row matrix and for one matrix broadcast over the rows
+        rng = np.random.default_rng(seed)
+        log_w = _sparse_logs(rng, (n, n) if shared else (rows, n, n))
+        x = _sparse_logs(rng, (rows, n))
+        dlog_w = rng.normal(size=log_w.shape)
+        dx = rng.normal(size=x.shape)
+        got, dgot = psi(log_w, s, x, dlog_w, dx)
+        assert np.array_equal(psi(log_w, s, x), got)
+        for k in range(rows):
+            w_k = log_w if shared else log_w[k]
+            dw_k = dlog_w if shared else dlog_w[k]
+            one, done = psi(w_k, s, x[k], dw_k, dx[k])
+            assert np.array_equal(one, got[k])
+            assert np.array_equal(psi(w_k, s, x[k]), got[k])
+            assert np.array_equal(done, dgot[k], equal_nan=True)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.1, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_reference(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        log_w = _sparse_logs(rng, (n, n))
+        log_w[:, rng.integers(n)] = NEG_INF  # a column with no support
+        for x in (_sparse_logs(rng, n), np.full(n, NEG_INF)):
+            m = log_w + x[:, None]
+            want = s * _lse_columns_reference(m)
+            got = psi(log_w, s, x)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            # within 1e-15 relative to the terms |max| and log n <= n that
+            # the column adds up: the result itself can cancel to near 0
+            finite = np.isfinite(want)
+            scale = s * (np.abs(m.max(axis=0)[finite]) + n)
+            assert (np.abs(got[finite] - want[finite]) <= 1e-15 * scale).all()
+
+
+def _sparse_logs(rng, shape):
+    """Normal logs with about a third of the entries -inf (exact zeros)."""
+    return np.where(rng.random(shape) < 0.35, NEG_INF, 3 * rng.normal(size=shape))
+
+
+def _lse_columns_reference(m):
+    """The column-wise log-sum-exp that ``psi`` used to call, kept as a reference."""
+    tops = m.max(axis=0)
+    out = np.full(m.shape[1], NEG_INF)
+    finite = tops > NEG_INF
+    if finite.any():
+        out[finite] = tops[finite] + np.log(np.exp(m[:, finite] - tops[finite]).sum(axis=0))
+    return out
 
 
 class TestApplyCycle:
@@ -129,7 +182,7 @@ class TestEigenpair:
         period = find_a0_and_period(full2)
         pair = principal_eigenpair(full2, period, [1.0])
         assert pair.log_rho == pytest.approx(log(2), abs=1e-11)
-        vec = pair.eigvec.values
+        vec = pair.eigvec
         assert vec[0] == pytest.approx(vec[1], abs=1e-9)
 
     def test_swap_identity_operator(self, swap2):
@@ -150,9 +203,9 @@ class TestEigenpair:
         for j in range(3):
             pair = principal_eigenpair(nine, period, r, class_index=j, tol=1e-11)
             rotation = (3 - j) % 3
-            y = apply_l(nine, r, pair.eigvec.values, rotation)
-            sup = pair.eigvec.support
-            resid = np.abs(y[sup] - pair.log_rho - pair.eigvec.values[sup]).max()
+            y = apply_l(nine, r, pair.eigvec, rotation)
+            sup = np.isfinite(pair.eigvec)
+            resid = np.abs(y[sup] - pair.log_rho - pair.eigvec[sup]).max()
             assert resid < 10 * 1e-11
 
     def test_matches_linear_radius_for_primitive(self):
@@ -205,12 +258,3 @@ class TestEntropy:
                 exact = log(sum(block_counts(model, k))) / lattice_size(model.arity, k)
                 assert seq.values[k] == pytest.approx(exact, abs=1e-12)
 
-
-class TestLogVector:
-    def test_from_linear_support(self):
-        lv = LogVector.from_linear([0.0, 2.0, 1.0])
-        assert lv.support.tolist() == [False, True, True]
-
-    def test_normalized(self):
-        lv = LogVector.from_linear([1.0, 3.0]).normalized()
-        assert np.exp(lv.values).sum() == pytest.approx(1.0, abs=1e-12)
