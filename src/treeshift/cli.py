@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, is_dataclass
 
 import click
 import numpy as np
@@ -96,7 +96,7 @@ def _sanitize(obj):
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
+        return "nan" if np.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, frozenset):
         return sorted(obj)
     return obj
@@ -114,24 +114,37 @@ def _read_raw(path) -> dict:
 
 
 def _run(fn):
-    """Translate package errors into the uniform exit-code map."""
+    """Translate package errors into the uniform exit-code map.
+
+    A failure writes a human-readable line to stderr, then one JSON error
+    record: exit code, error class and message, and the numbers the error
+    carries (``bracket``/``best`` or ``expected``/``got``).
+    """
     try:
         fn()
     except ModelParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, "parse error", exc)
     except (ModelValidationError, A1Violated) as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _fail(EXIT_VALIDATION, "validation error", exc)
     except (NoConvergence, ValidationFailed) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _fail(EXIT_NUMERIC, "numeric failure", exc)
     except (TooLarge, Overflow, MemoryError) as exc:
-        click.echo(f"resource guard: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+        _fail(EXIT_RESOURCE, "resource guard", exc)
     except TreeShiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _fail(EXIT_NUMERIC, "error", exc)
+
+
+def _fail(code: int, label: str, exc: BaseException):
+    click.echo(f"{label}: {exc}", err=True)
+    record = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}
+    for key in ("bracket", "best", "expected", "got"):
+        value = getattr(exc, key, None)
+        if is_dataclass(value):  # the best estimate, without its arrays
+            value = {k: v for k, v in vars(value).items() if isinstance(v, (int, float))}
+        if value is not None:
+            record[key] = value
+    click.echo(json.dumps(_sanitize(record), allow_nan=False), err=True)
+    sys.exit(code)
 
 
 @click.group()

@@ -44,6 +44,7 @@ from .rate_function import (
 )
 from .transfer_op import (
     EIGEN_TOL,
+    _eigen_rows,
     entropy_iterate,
     log_weights,
     logsumexp,
@@ -185,12 +186,15 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
 def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     """Minimize the objective over the simplex: lattice scan, then Nelder-Mead.
 
-    The scan covers the simplex lattice of ``_scan_denominator(p)``.
-    Nelder-Mead then runs over p - 1 free coordinates u through
-    s = w / sum(w), with w = 1 at the pivot (the largest coordinate of the
-    best lattice point) and w_i = u_i^2 elsewhere.  The map covers the whole
-    simplex except the face s_pivot = 0, so an optimum on any other face is
-    reached exactly, with no penalty or clipping.
+    The scan covers the simplex lattice of ``_scan_denominator(p)``, one
+    batched eigen loop per block.  Nelder-Mead then runs over p - 1 free
+    coordinates u through s = w / sum(w), with w = 1 at the pivot (the
+    largest coordinate of the best lattice point) and w_i = u_i^2 elsewhere.
+    The map covers the whole simplex except the face s_pivot = 0, so an
+    optimum on any other face is reached exactly, with no penalty or
+    clipping.  Each evaluation starts its power iteration from the previous
+    evaluation's eigenvector of the same block (first, the best lattice
+    point's): nearby exponents have nearby eigenvectors on the same support.
 
     A point scores the largest objective over the model's cyclic SCC blocks
     (one block when irreducible).  Power iteration on a reducible closure
@@ -199,17 +203,25 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     its simplex point, the number of objective evaluations, and the lattice
     points with their objective values.
     """
-    p = period.period
+    d, p = model.arity, period.period
     denom = _scan_denominator(p)
     points = np.array(list(_simplex_grid(p, denom)))
     blocks = _cyclic_blocks(model)
 
-    def objective(s) -> float:
-        return max(dim_objective(b, period, s, 0, eigen_tol=eigen_tol) for b in blocks)
+    def objective(simplex_points, starts):
+        """Objective per point ([K, p]) and each block's eigenpairs ([K] per block)."""
+        params = [simplex_to_ratios(s, d, p) for s in simplex_points]
+        r = np.array([param.r for param in params])
+        q0 = np.array([param.q[0] for param in params])
+        pairs = [_eigen_rows(b, period, r, 0, eigen_tol, start=x) for b, x in zip(blocks, starts)]
+        # q0 > 0, so a collapsed cone (log_rho = -inf) scores -inf
+        log_rho = np.array([[pair.log_rho for pair in row] for row in pairs])
+        return (q0 * log_rho).max(axis=0), pairs
 
-    values = np.array([objective(s) for s in points])
-    best = points[np.argmin(values)]
-    pivot = int(np.argmax(best))
+    values, pairs = objective(points, [None] * len(blocks))
+    best = int(np.argmin(values))
+    warm = [row[best].eigvec for row in pairs]
+    pivot = int(np.argmax(points[best]))
     free = np.arange(p) != pivot
 
     def to_simplex(u: np.ndarray) -> np.ndarray:
@@ -217,9 +229,14 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
         w[free] = u * u
         return w / w.sum()
 
-    u0 = np.sqrt(best[free] / best[pivot])
+    def refine(u: np.ndarray) -> float:
+        value, pairs = objective([to_simplex(u)], warm)
+        warm[:] = [row[0].eigvec for row in pairs]
+        return float(value[0])
+
+    u0 = np.sqrt(points[best][free] / points[best][pivot])
     result = minimize(
-        lambda u: objective(to_simplex(u)),
+        refine,
         u0,
         method="Nelder-Mead",
         options={

@@ -79,20 +79,25 @@ def enumerate_blocks(
     return BlockCounts(tuple(counts), total, trees)
 
 
-def _list_trees(model: AdjacencyModel, n: int, root: int):
-    """Yield admissible depth-n labelings in BFS order, root fixed."""
+def _list_trees(model: AdjacencyModel, n: int, root: int) -> list[tuple[int, ...]]:
+    """Admissible depth-n labelings in BFS order, root fixed.
+
+    Grows every tree one level at a time, each held as its flat labeling so
+    far and its last level, whose slots pick the next level's labels.
+    """
     d = model.arity
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(model.n_symbols)]
 
-    def rec(levels: list[tuple[int, ...]]):
-        if len(levels) == n + 1:
-            yield tuple(itertools.chain.from_iterable(levels))
-            return
-        slot_choices = [children[b] for b in levels[-1] for _ in range(d)]
-        for combo in itertools.product(*slot_choices):
-            yield from rec(levels + [combo])
+    def levels_under(last: tuple[int, ...]):
+        return itertools.product(*[children[b] for b in last for _ in range(d)])
 
-    yield from rec([(root,)])
+    if n == 0:
+        return [(root,)]
+    layer = [((root,), (root,))]
+    for _ in range(n - 1):
+        layer = [(prefix + level, level) for prefix, last in layer for level in levels_under(last)]
+    # the deepest level needs no pairs, only the flat trees
+    return [tree for prefix, last in layer for tree in map(prefix.__add__, levels_under(last))]
 
 
 @dataclass(frozen=True)

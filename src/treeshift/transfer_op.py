@@ -13,9 +13,11 @@ companion coefficient in the dimension objective rotates the same way, which
 makes the per-cone objective values agree (see ``dimension``).
 
 ``psi`` is the one log-sum-exp step of the package.  It takes a batch (a
-leading axis on the matrix, the vector, or both) and, on request, carries a
-forward tangent; the rate function's tilted recursion runs on it too.
-Eigenvectors are plain log arrays.
+leading axis on the matrix, the vector, or both, and one exponent per row if
+wanted) and, on request, carries a forward tangent; the rate function's
+tilted recursion runs on it too.  The power iteration is one loop over a
+batch of exponent vectors (``_eigen_rows``); ``principal_eigenpair`` is its
+single-row call.  Eigenvectors are plain log arrays.
 """
 from __future__ import annotations
 
@@ -48,20 +50,23 @@ def logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.exp(x - m).sum()))
 
 
-def psi(log_w: np.ndarray, s: float, log_x: np.ndarray, dlog_w=None, dx=None):
+def psi(log_w: np.ndarray, s, log_x: np.ndarray, dlog_w=None, dx=None):
     """One transfer step: component b of the result is s * log sum_a w[a,b] x[a].
 
-    ``log_w`` is [..., n, n] and ``log_x`` is [..., n]; leading axes broadcast,
-    so one call steps a whole batch.  Accepts a weighted matrix, which
-    generalizes the 0/1 adjacency case; the rate-function recursion relies on
-    that.  Given a tangent direction ``dlog_w`` (of the matrix) and ``dx`` (of
-    the vector), also returns the step's forward derivative
+    ``log_w`` is [..., m, n] and ``log_x`` is [..., m]; leading axes broadcast,
+    so one call steps a whole batch.  ``s`` is a positive scalar, or one
+    exponent per row as an array [..., 1] whose positivity the caller has
+    checked (the eigen loop validates its exponents once).  Accepts a
+    weighted matrix, which generalizes the 0/1 adjacency case; the
+    rate-function recursion relies on that.  Given a tangent direction
+    ``dlog_w`` (of the matrix) and ``dx`` (of the vector), also returns the
+    step's forward derivative
 
         dx_next[b] = s * sum_a softmax_a(log_w[:, b] + x)[a] (dlog_w[a, b] + dx[a]).
 
     A column with no support maps to -inf, with a nan tangent.
     """
-    if s <= 0:
+    if not isinstance(s, np.ndarray) and s <= 0:
         raise BadExponent(f"exponent must be positive, got {s}")
     x = np.asarray(log_x, dtype=float)
     if x.ndim == 1 and dlog_w is None:
@@ -84,28 +89,25 @@ def psi(log_w: np.ndarray, s: float, log_x: np.ndarray, dlog_w=None, dx=None):
 
 
 def _check_exponents(r: np.ndarray, d: int) -> np.ndarray:
+    """Validate exponent vectors along the last axis of ``r``."""
     r = np.asarray(r, dtype=float)
     if (r <= 0).any() or (r > d + 1e-12).any():
         raise BadExponent(f"exponents must lie in (0, {d}], got {r}")
-    prod = float(np.prod(r))
-    if abs(prod - 1.0) > PRODUCT_TOL * max(1.0, abs(prod)):
+    prod = np.prod(r, axis=-1)
+    if (abs(prod - 1.0) > PRODUCT_TOL * np.maximum(1.0, abs(prod))).any():
         raise BadExponent(f"exponent product must be 1, got {prod}")
     return r
-
-
-def _cycle(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray, rotation: int) -> np.ndarray:
-    """The p psi steps of one cycle; ``r`` must already be validated."""
-    p = len(r)
-    for i in range(p):
-        x = psi(log_adj, float(r[(rotation + i) % p]), x)
-    return x
 
 
 def apply_l(model: AdjacencyModel, r, log_x: np.ndarray, rotation: int = 0) -> np.ndarray:
     """Full p-step cycle, starting with exponent r_rotation."""
     r = _check_exponents(r, model.arity)
     x = np.asarray(log_x, dtype=float)
-    return _cycle(log_weights(model.adjacency), r, x, rotation)
+    log_adj = log_weights(model.adjacency)
+    p = len(r)
+    for i in range(p):
+        x = psi(log_adj, float(r[(rotation + i) % p]), x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -142,29 +144,97 @@ def principal_eigenpair(
     p-step cycle permutes sub-classes (a cyclic block whose own period is a
     multiple of p) never settles.
     """
+    r = np.asarray(r, dtype=float)
+    return _eigen_rows(model, period, r[None], class_index, tol, max_iter)[0]
+
+
+def _eigen_rows(
+    model: AdjacencyModel,
+    period: PeriodStructure,
+    r: np.ndarray,
+    class_index: int = 0,
+    tol: float = EIGEN_TOL,
+    max_iter: int = EIGEN_MAX_ITER,
+    start: np.ndarray | None = None,
+) -> list[EigenPair]:
+    """``principal_eigenpair`` for each row of the exponents ``r`` [K, p] at once.
+
+    Every row follows the rules above and stops on its own bracket; the loop
+    only steps the rows still open, and compacts them when one stops.
+    ``start`` ([n] or [K, n], logs, supported in class j) replaces the class
+    indicator as the first iterate.  The bracket stays a certificate from
+    any start whose support is the cone's, such as an eigenvector of the
+    same cone at other exponents.  A row that reaches ``max_iter`` raises
+    ``NoConvergence`` with its own bracket and best pair.
+
+    Step i of the cycle maps class j - i onto class j - i - 1, so it runs
+    ``psi`` on that block of the matrix, and the loop keeps only the class-j
+    entries of its vectors.  The normalizing sum still runs over all n
+    entries (zeros off the class), so it adds the same terms in the same
+    order as on the full vector.
+    """
+    p, n = period.period, model.n_symbols
     r = _check_exponents(r, model.arity)
-    if len(r) != period.period:
-        raise BadExponent(f"need {period.period} exponents, got {len(r)}")
+    if r.ndim != 2 or r.shape[1] != p:
+        raise BadExponent(f"need {p} exponents per row, got shape {r.shape}")
     log_adj = log_weights(model.adjacency)
-    j = class_index % period.period
-    x = np.where(period.class_mask(j, model.n_symbols), 0.0, -np.inf)
-    rotation = (period.period - j) % period.period
-    lo = hi = np.nan
-    for it in range(1, max_iter + 1):
-        lx = _cycle(log_adj, r, x, rotation)
-        support = np.isfinite(lx)
-        if not support.any():
-            # the cone collapses: eigenvalue 0
-            return EigenPair(-np.inf, lx, j, it, 0.0)
-        invariant = (support == np.isfinite(x)).all()
-        if invariant:
-            diffs = lx[support] - x[support]
-            lo, hi = float(diffs.min()), float(diffs.max())
-        y = np.logaddexp(x, lx) if invariant and it > 1 else lx
-        x = y - logsumexp(y)
-        if hi - lo < tol:
-            return EigenPair(0.5 * (lo + hi), x, j, it, hi - lo)
-    best = EigenPair(0.5 * (lo + hi), x, j, max_iter, hi - lo)
+    j = class_index % p
+    members = [np.flatnonzero(period.class_mask(j - i, n)) for i in range(p + 1)]
+    blocks = [log_adj[np.ix_(members[i], members[i + 1])] for i in range(p)]
+    cone = members[0]
+
+    def full(v: np.ndarray) -> np.ndarray:
+        out = np.full(n, -np.inf)
+        out[cone] = v
+        return out
+
+    x = np.broadcast_to(0.0 if start is None else start[..., cone], (len(r), len(cone)))
+    rotation = (p - j) % p
+    # steps[i] holds every row's exponent for step i of the cycle, as [K, 1]
+    steps = r.T[[(rotation + i) % p for i in range(p)], :, None]
+    rows = np.arange(len(r))
+    lo = hi = np.full(len(r), np.nan)
+    terms = np.zeros((len(r), n))
+    pairs: list[EigenPair | None] = [None] * len(r)
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            lx = x
+            for w, s in zip(blocks, steps):
+                lx = psi(w, s, lx)
+            # off the support both are -inf and the difference is nan, which
+            # fmin/fmax skip; a support that changes leaves an infinite one
+            diffs = lx - x
+            lo_it, hi_it = np.fmin.reduce(diffs, axis=1), np.fmax.reduce(diffs, axis=1)
+            invariant = np.isfinite(hi_it - lo_it)
+            if invariant.all():
+                lo, hi = lo_it, hi_it
+                y = np.logaddexp(x, lx) if it > 1 else lx
+            else:
+                lo, hi = np.where(invariant, lo_it, lo), np.where(invariant, hi_it, hi)
+                y = np.where(invariant[:, None] & (it > 1), np.logaddexp(x, lx), lx)
+            top = y.max(axis=1, keepdims=True)
+            terms[:, cone] = np.exp(y - top)
+            x = y - (top + np.log(terms.sum(axis=1, keepdims=True)))
+            # a row whose cone collapses (eigenvalue 0) has no support left
+            collapsed = top[:, 0] == -np.inf
+            stop = (hi - lo < tol) | collapsed
+            if not stop.any():
+                continue
+            for k in np.flatnonzero(stop):
+                if collapsed[k]:
+                    pair = EigenPair(-np.inf, full(lx[k]), j, it, 0.0)
+                else:
+                    width = float(hi[k] - lo[k])
+                    pair = EigenPair(float(0.5 * (lo[k] + hi[k])), full(x[k]), j, it, width)
+                pairs[rows[k]] = pair
+            if stop.all():
+                return pairs
+            keep = ~stop
+            x, steps, rows, lo, hi, terms = (
+                x[keep], steps[:, keep], rows[keep], lo[keep], hi[keep], terms[keep]
+            )
+    lo, hi = float(lo[0]), float(hi[0])
+    best = EigenPair(0.5 * (lo + hi), full(x[0]), j, max_iter, hi - lo)
     raise NoConvergence(
         f"eigen bracket width {hi - lo:.3e} after {max_iter} iterations",
         bracket=(lo, hi),

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from treeshift import AdjacencyModel, chain_from_matrices, reciprocal_on_support
+from treeshift import (
+    AdjacencyModel,
+    chain_from_matrices,
+    find_a0_and_period,
+    is_irreducible,
+    reciprocal_on_support,
+)
 
 NINE_ADJACENCY = [
     [0, 0, 0, 0, 1, 1, 0, 0, 0],
@@ -86,3 +93,32 @@ def random_a0_matrix(rng, n, density=0.55):
         adj = (rng.random((n, n)) < density).astype(int)
         if (adj.sum(axis=0) > 0).all():
             return adj
+
+
+# (seed, p, d) for ``periodic_model``
+periodic_models = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 3))
+
+
+def periodic_model(seed, p, d, max_symbols=None):
+    """Random irreducible model of period p: classes of 1-3 symbols, edges
+    only from class k to class k+1 (mod p).  A closed walk through every
+    symbol and a p-cycle through the first symbol of each class fix
+    irreducibility and the period; every other such edge is present with
+    probability 0.6.  ``max_symbols`` draws the class sizes again until
+    they add up to at most that many symbols."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, size=p)
+    while max_symbols is not None and sizes.sum() > max_symbols:
+        sizes = rng.integers(1, 4, size=p)
+    first = np.cumsum(sizes) - sizes
+    cls = np.repeat(np.arange(p), sizes)
+    n = len(cls)
+    adj = (cls[:, None] == (cls[None, :] + 1) % p) & (rng.random((n, n)) < 0.6)
+    walk = [first[k] + t % sizes[k] for t in range(sizes.max()) for k in range(p)]
+    walk += list(first)
+    for parent, child in zip(walk, walk[1:] + walk[:1]):
+        adj[child, parent] = True
+    model = make_model(adj.astype(int).tolist(), d=d)
+    period = find_a0_and_period(model)
+    assert is_irreducible(model) and period.period == p
+    return model, period

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from treeshift.cli import main
+from treeshift.cli import _sanitize, main
 
 EXAMPLE1 = {
     "symbols": ["0", "1"],
@@ -332,3 +332,51 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["period"] == 1
+
+
+def _error_record(args):
+    """Exit code and the JSON error record (last stderr line) of a failing run."""
+    result = subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", *args], capture_output=True, text=True
+    )
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 2  # the human-readable line, then the record
+    return result.returncode, json.loads(lines[-1], parse_constant=reject)
+
+
+class TestErrorRecord:
+    def test_no_convergence(self, write_model):
+        code, record = _error_record(["dimension", write_model(EXAMPLE2_ADJ), "--eigen-tol", "0"])
+        assert code == record["exit_code"] == 4
+        assert record["error"] == "NoConvergence"
+        assert record["message"].startswith("eigen bracket width")
+        lo, hi = record["bracket"]
+        best = record["best"]
+        assert set(best) == {"log_rho", "class_index", "iterations", "residual"}
+        assert best["iterations"] == 10**4
+        assert lo <= best["log_rho"] <= hi
+
+    def test_certificate_miss(self, write_model):
+        # the face optimum certifies to about 3e-9, not to 1e-12
+        code, record = _error_record(["measure", write_model(FACE_OPTIMUM), "--tol", "1e-12"])
+        assert code == record["exit_code"] == 4
+        assert record["error"] == "ValidationFailed"
+        assert abs(record["expected"] - record["got"]) > 1e-12
+        assert "bracket" not in record and "best" not in record
+
+    def test_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        code, record = _error_record(["analyze", str(bad)])
+        assert code == record["exit_code"] == 2
+        assert record["error"] == "ModelParseError"
+        assert set(record) == {"exit_code", "error", "message"}
+
+    def test_strict_json_sentinels(self):
+        # nan used to come out as "-inf"
+        assert _sanitize([float("nan"), float("inf"), -float("inf"), 1.5]) == [
+            "nan", "inf", "-inf", 1.5]

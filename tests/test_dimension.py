@@ -10,15 +10,16 @@ from treeshift import (
     find_a0_and_period,
     general_upper_bound,
     hausdorff_dimension,
-    is_irreducible,
     optimal_markov_measure,
     ratios_to_simplex,
     simplex_to_ratios,
     spectral_bound_report,
 )
+from treeshift.dimension import _search
 from treeshift.errors import ModelValidationError, ValidationFailed
+from treeshift.transfer_op import EIGEN_TOL
 
-from conftest import make_model
+from conftest import make_model, periodic_model, periodic_models
 
 
 class TestBijection:
@@ -126,36 +127,11 @@ class TestHausdorff:
             assert rep.dim == pytest.approx(base, abs=1e-8)
 
 
-def _periodic_model(seed, p, d):
-    """Random irreducible model of period p: classes of 1-3 symbols, edges
-    only from class k to class k+1 (mod p).  A closed walk through every
-    symbol and a p-cycle through the first symbol of each class fix
-    irreducibility and the period; every other such edge is present with
-    probability 0.6."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 4, size=p)
-    first = np.cumsum(sizes) - sizes
-    cls = np.repeat(np.arange(p), sizes)
-    n = len(cls)
-    adj = (cls[:, None] == (cls[None, :] + 1) % p) & (rng.random((n, n)) < 0.6)
-    walk = [first[k] + t % sizes[k] for t in range(sizes.max()) for k in range(p)]
-    walk += list(first)
-    for parent, child in zip(walk, walk[1:] + walk[:1]):
-        adj[child, parent] = True
-    model = make_model(adj.astype(int).tolist(), d=d)
-    period = find_a0_and_period(model)
-    assert is_irreducible(model) and period.period == p
-    return model, period
-
-
-periodic_models = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 3))
-
-
 class TestConvexSearch:
     @given(periodic_models)
     @settings(max_examples=50, deadline=None)
     def test_objective_midpoint_convex(self, args):
-        model, period = _periodic_model(*args)
+        model, period = periodic_model(*args)
         p = period.period
         rng = np.random.default_rng(args[0])
         for _ in range(4):
@@ -168,7 +144,7 @@ class TestConvexSearch:
     @settings(max_examples=30, deadline=None)
     def test_no_pairwise_move_improves_argmin(self, args):
         # s + h (e_i - e_j) with h = min(1e-4, s_j): faces are moved onto, not across
-        model, period = _periodic_model(*args)
+        model, period = periodic_model(*args)
         report = hausdorff_dimension(model, period)
         s = report.argmin_s
         for i in range(period.period):
@@ -180,6 +156,17 @@ class TestConvexSearch:
                 moved[i] += h
                 moved[j] -= h
                 assert dim_objective(model, period, moved) >= report.dim - 1e-10
+
+
+class TestScan:
+    @given(periodic_models)
+    @settings(max_examples=25, deadline=None)
+    def test_scan_values_equal_dim_objective(self, args):
+        # the batched lattice scan scores each point as a lone call would, bit for bit
+        model, period = periodic_model(*args, max_symbols=6)
+        _, _, _, (points, values) = _search(model, period, EIGEN_TOL)
+        for s, value in zip(points, values):
+            assert value == dim_objective(model, period, s)
 
 
 class TestGeneralUpperBound:

@@ -14,11 +14,12 @@ from treeshift import (
     principal_eigenpair,
     psi,
 )
-from treeshift.errors import BadExponent
+from treeshift.dimension import _cyclic_blocks, simplex_to_ratios
+from treeshift.errors import BadExponent, NoConvergence
 from treeshift.oracle import block_counts
-from treeshift.transfer_op import log_weights
+from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
-from conftest import make_model, random_a0_matrix
+from conftest import make_model, periodic_model, periodic_models, random_a0_matrix
 
 NEG_INF = float("-inf")
 
@@ -47,24 +48,28 @@ class TestPsi:
             psi(log_weights(np.ones((2, 2))), 0.0, log_vec(0, 0))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
-           st.floats(0.1, 3.0), st.booleans())
+           st.floats(0.1, 3.0), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_batch_rows_equal_single_calls(self, seed, rows, n, s, shared):
+    def test_batch_rows_equal_single_calls(self, seed, rows, n, s, shared, per_row):
         # a row's step does not depend on the batch it runs in, bit for bit,
-        # for a per-row matrix and for one matrix broadcast over the rows
+        # for a per-row matrix and for one matrix broadcast over the rows,
+        # with one exponent for the batch or one per row
         rng = np.random.default_rng(seed)
         log_w = _sparse_logs(rng, (n, n) if shared else (rows, n, n))
         x = _sparse_logs(rng, (rows, n))
         dlog_w = rng.normal(size=log_w.shape)
         dx = rng.normal(size=x.shape)
-        got, dgot = psi(log_w, s, x, dlog_w, dx)
-        assert np.array_equal(psi(log_w, s, x), got)
+        s_rows = rng.uniform(0.1, 3.0, size=(rows, 1)) if per_row else np.full((rows, 1), s)
+        s_batch = s_rows if per_row else s
+        got, dgot = psi(log_w, s_batch, x, dlog_w, dx)
+        assert np.array_equal(psi(log_w, s_batch, x), got)
         for k in range(rows):
             w_k = log_w if shared else log_w[k]
             dw_k = dlog_w if shared else dlog_w[k]
-            one, done = psi(w_k, s, x[k], dw_k, dx[k])
+            s_k = float(s_rows[k, 0])
+            one, done = psi(w_k, s_k, x[k], dw_k, dx[k])
             assert np.array_equal(one, got[k])
-            assert np.array_equal(psi(w_k, s, x[k]), got[k])
+            assert np.array_equal(psi(w_k, s_k, x[k]), got[k])
             assert np.array_equal(done, dgot[k], equal_nan=True)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.1, 3.0))
@@ -224,6 +229,76 @@ class TestEigenpair:
             pair = principal_eigenpair(model, period, [1.0])
             lin = linear_spectral_radius(model.adjacency.T.astype(float))
             assert pair.log_rho == pytest.approx(lin, abs=1e-9)
+
+
+def _random_exponents(rng, model, period, k):
+    """k exponent vectors from random simplex points, as the dimension search makes them."""
+    p = period.period
+    return np.array([simplex_to_ratios(rng.dirichlet(np.ones(p)), model.arity, p).r
+                     for _ in range(k)])
+
+
+class TestEigenRows:
+    # random irreducible models of 2-6 symbols and period 2-4
+    @given(periodic_models, st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_equal_single_calls(self, args, k):
+        model, period = periodic_model(*args, max_symbols=6)
+        rng = np.random.default_rng(args[0])
+        r = _random_exponents(rng, model, period, k)
+        j = int(rng.integers(period.period))
+        rows = _eigen_rows(model, period, r, j)
+        for r_k, row in zip(r, rows):
+            one = principal_eigenpair(model, period, r_k, class_index=j)
+            assert row.log_rho == one.log_rho
+            assert np.array_equal(row.eigvec, one.eigvec)
+            assert (row.iterations, row.residual, row.class_index) == (
+                one.iterations, one.residual, one.class_index)
+
+    @given(periodic_models)
+    @settings(max_examples=40, deadline=None)
+    def test_warm_start_within_tol_of_cold(self, args):
+        model, period = periodic_model(*args, max_symbols=6)
+        rng = np.random.default_rng(args[0])
+        _warm_matches_cold(model, period, _random_exponents(rng, model, period, 6))
+
+    def test_warm_start_on_block_period_multiple(self):
+        # the closure of 0 has period 2; its block {2..6} has period 4, so
+        # the cycle swaps two sub-classes there (see test_dimension)
+        adj = np.zeros((7, 7), dtype=int)
+        for parent, children in [(0, [1, 2]), (1, [0]), (2, [3, 6]), (3, [4]),
+                                 (6, [4]), (4, [5]), (5, [2])]:
+            adj[children, parent] = 1
+        model = make_model(adj.tolist())
+        period = find_a0_and_period(model)
+        assert period.period == 2
+        rng = np.random.default_rng(3)
+        for block in _cyclic_blocks(model):
+            _warm_matches_cold(block, period, _random_exponents(rng, model, period, 12))
+
+    def test_open_row_at_max_iter_raises_its_own_bracket(self, nine):
+        period = find_a0_and_period(nine)
+        r = _random_exponents(np.random.default_rng(5), nine, period, 8)
+        counts = [principal_eigenpair(nine, period, r_k).iterations for r_k in r]
+        cap = sorted(counts)[len(counts) // 2]
+        first_open = next(k for k, c in enumerate(counts) if c > cap)
+        with pytest.raises(NoConvergence) as batch:
+            _eigen_rows(nine, period, r, max_iter=cap)
+        with pytest.raises(NoConvergence) as single:
+            principal_eigenpair(nine, period, r[first_open], max_iter=cap)
+        assert batch.value.bracket == single.value.bracket
+        assert batch.value.best.iterations == cap
+        assert np.array_equal(batch.value.best.eigvec, single.value.best.eigvec)
+
+
+def _warm_matches_cold(model, period, r):
+    """Each row started from the previous row's eigenvector lands within tol of a cold start."""
+    start = None
+    for r_k in r:
+        warm = _eigen_rows(model, period, r_k[None], start=start)[0]
+        cold = principal_eigenpair(model, period, r_k)
+        assert abs(warm.log_rho - cold.log_rho) <= EIGEN_TOL or warm.log_rho == cold.log_rho
+        start = warm.eigvec
 
 
 def _try_period(model):
