@@ -1,5 +1,9 @@
 """Symbolic model: adjacency matrix, period/partition structure, reachability.
 
+Every structural question (the a0 reduction, a0 and its period, closures,
+the recurrent set, SCCs, irreducibility) is read from one dense boolean
+transitive closure, ``_reach``: alphabets are small, so no graph traversal.
+
 Orientation convention, used everywhere in this package:
 
     rows index CHILDREN, columns index PARENTS.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, log
+from math import log
 from typing import Sequence
 
 import numpy as np
@@ -84,8 +88,7 @@ class PeriodStructure:
     """Distinguished symbol a0, its period p, and the induced class partition.
 
     ``classes[j]`` holds the symbols reachable from a0 at generation distance
-    congruent to j mod p; ``class_of[a]`` is that j, or -1 for symbols not
-    reachable as descendants of a0.
+    congruent to j mod p; ``class_of[a]`` is that j (a0 reaches every symbol).
     """
 
     a0: int
@@ -101,7 +104,7 @@ class PeriodStructure:
 
 @dataclass(frozen=True)
 class ReachabilityReport:
-    """Descendant closures, the recurrent symbol set, and SCCs."""
+    """Descendant closures, the recurrent symbol set, and SCCs by smallest member."""
 
     closures: tuple[frozenset[int], ...]
     recurrent: frozenset[int]
@@ -145,89 +148,51 @@ def load_model(path) -> AdjacencyModel:
     return model_from_dict(data)
 
 
+def _reach(adjacency: np.ndarray) -> np.ndarray:
+    """Boolean closure: ``reach[b, a]`` when a is b or a descendant of b.
+
+    ceil(log2(n - 1)) squarings of ``I + A^T`` cover every walk of length
+    n - 1; the float entries stay integers at most n, so they are exact.
+    """
+    n = len(adjacency)
+    reach = np.eye(n) + np.asarray(adjacency, dtype=float).T > 0
+    for _ in range(max(n - 2, 0).bit_length()):
+        step = reach.astype(float)
+        reach = step @ step > 0
+    return reach
+
+
+def _sccs(adjacency: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the parent->child digraph.
+
+    Two symbols share a component when each reaches the other; the
+    components are listed by their smallest member, each in ascending order.
+    """
+    reach = _reach(adjacency)
+    mutual = reach & reach.T
+    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
+    return [np.flatnonzero(mutual[a]).tolist() for a in leaders]
+
+
+def _recurrent(adjacency: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Mask of symbols on a directed cycle: a child reaches back to them."""
+    return (np.asarray(adjacency, dtype=bool) & reach).any(axis=0)
+
+
 def reduce_a0(model: AdjacencyModel) -> AdjacencyModel:
     """Largest principal submatrix whose column sums are all positive.
 
     Symbols with no admissible child can never label a node of an infinite
-    tree; deleting them (to a fixpoint) leaves the tree-shift unchanged.
+    tree; deleting them (to a fixpoint) leaves the tree-shift unchanged.  The
+    fixpoint keeps exactly the symbols that reach a directed cycle.
     """
-    keep = np.arange(model.n_symbols)
-    adj = model.adjacency
-    while True:
-        alive = adj.sum(axis=0) > 0
-        if alive.all():
-            break
-        keep = keep[alive]
-        if keep.size == 0:
-            raise EmptyModel("every symbol was deleted: no column-positive submatrix exists")
-        adj = adj[np.ix_(alive.nonzero()[0], alive.nonzero()[0])]
+    reach = _reach(model.adjacency)
+    keep = np.flatnonzero(reach[:, _recurrent(model.adjacency, reach)].any(axis=1))
+    if keep.size == 0:
+        raise EmptyModel("every symbol was deleted: no column-positive submatrix exists")
     if keep.size == model.n_symbols:
         return model
     return model.submodel(keep)
-
-
-def _descendants(model: AdjacencyModel, start: int) -> tuple[set[int], dict[int, int]]:
-    """BFS over parent->child edges; returns reached set and distances."""
-    dist = {start: 0}
-    queue = [start]
-    while queue:
-        b = queue.pop(0)
-        for a in model.children_of(b):
-            a = int(a)
-            if a not in dist:
-                dist[a] = dist[b] + 1
-                queue.append(a)
-    return set(dist), dist
-
-
-def _sccs(model: AdjacencyModel) -> list[set[int]]:
-    """Strongly connected components of the parent->child digraph (iterative Tarjan)."""
-    n = model.n_symbols
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(model.children_of(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                w = int(w)
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(model.children_of(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
 
 
 def find_a0_and_period(model: AdjacencyModel, a0: int | None = None) -> PeriodStructure:
@@ -241,84 +206,60 @@ def find_a0_and_period(model: AdjacencyModel, a0: int | None = None) -> PeriodSt
     from a0 mod p; edge consistency of that labeling is verified and a
     ClassInconsistency is raised where the partition is ill-defined.
     """
-    n = model.n_symbols
+    adj = model.adjacency
     if not model.satisfies_a0():
         raise ModelValidationError("model has empty columns; call reduce_a0 first")
+    reach = _reach(adj)
     if a0 is None:
-        candidate = None
-        recurrent = set()
-        for s in range(n):
-            reached, _ = _descendants(model, s)
-            if s in {int(a) for b in reached for a in model.children_of(b)}:
-                recurrent.add(s)
-            if len(reached) == n:
-                candidate = s
-                break
-        if candidate is None:
+        generators = np.flatnonzero(reach.all(axis=1))
+        if generators.size == 0:
             raise A1Violated(
                 "no symbol generates every symbol as a descendant",
-                recurrent=sorted(recurrent),
+                recurrent=np.flatnonzero(_recurrent(adj, reach)).tolist(),
             )
-        a0 = candidate
-    reached, dist = _descendants(model, a0)
-    if len(reached) != n:
+        a0 = generators[0]
+    if not reach[a0].all():
         raise A1Violated(f"symbol {a0} does not generate every symbol", recurrent=())
 
-    scc_of = {}
-    for comp in _sccs(model):
-        for v in comp:
-            scc_of[v] = comp
-    home = scc_of[a0]
-    p = 0
-    for u in home:
-        for v in model.children_of(u):
-            v = int(v)
-            if v in home:
-                p = gcd(p, dist[u] + 1 - dist[v])
+    # BFS distances from a0, one frontier (a mask of parents) per generation
+    dist = np.full(len(adj), -1)
+    frontier, k = np.arange(len(adj)) == a0, 0
+    while frontier.any():
+        dist[frontier] = k
+        frontier, k = adj[:, frontier].any(axis=1) & (dist < 0), k + 1
+
+    home = reach[:, a0]  # a0 reaches every symbol: its SCC is what reaches back
+    v, u = np.nonzero(adj * np.outer(home, home))
+    p = int(np.gcd.reduce(dist[u] + 1 - dist[v]))
     if p == 0:
         # a0 lies on no cycle; (A1) plus (A0) force a cycle somewhere below,
         # so this only happens for a0 outside every cycle, which (A1) forbids.
         raise A1Violated(f"symbol {a0} lies on no cycle", recurrent=())
-    p = abs(p)
 
-    class_of = [-1] * n
-    for a, k in dist.items():
-        class_of[a] = k % p
-    for b in range(n):
-        if class_of[b] < 0:
-            continue
-        for a in model.children_of(b):
-            a = int(a)
-            if class_of[a] != (class_of[b] + 1) % p:
-                raise ClassInconsistency(
-                    f"edge {b}->{a} breaks the mod-{p} class labeling", row=a, col=b
-                )
-    classes = tuple(
-        frozenset(a for a in range(n) if class_of[a] == j) for j in range(p)
-    )
-    return PeriodStructure(a0=int(a0), period=p, classes=classes, class_of=tuple(class_of))
+    class_of = dist % p
+    # the first offending edge in parent-major order, as (parent, child)
+    bad = np.argwhere((adj.T == 1) & (class_of[None, :] != (class_of[:, None] + 1) % p))
+    if bad.size:
+        b, a = bad[0]
+        raise ClassInconsistency(
+            f"edge {b}->{a} breaks the mod-{p} class labeling", row=int(a), col=int(b)
+        )
+    classes = tuple(frozenset(np.flatnonzero(class_of == j).tolist()) for j in range(p))
+    return PeriodStructure(int(a0), p, classes, tuple(class_of.tolist()))
 
 
 def is_irreducible(model: AdjacencyModel) -> bool:
     """True when the parent->child digraph is strongly connected."""
-    return len(_sccs(model)) == 1
+    return bool(_reach(model.adjacency).all())
 
 
 def reachability(model: AdjacencyModel) -> ReachabilityReport:
     """Descendant closures A^(a), the recurrent set, and the SCC list."""
-    closures = []
-    for a in range(model.n_symbols):
-        reached, _ = _descendants(model, a)
-        closures.append(frozenset(reached))
-    sccs = tuple(frozenset(c) for c in _sccs(model))
-    # a symbol is recurrent iff it lies on a directed cycle: its SCC is
-    # nontrivial or it carries a self-loop
-    recurrent = set()
-    for comp in sccs:
-        for a in comp:
-            if len(comp) > 1 or model.adjacency[a, a]:
-                recurrent.add(a)
-    return ReachabilityReport(tuple(closures), frozenset(recurrent), sccs)
+    reach = _reach(model.adjacency)
+    closures = tuple(frozenset(np.flatnonzero(row).tolist()) for row in reach)
+    recurrent = frozenset(np.flatnonzero(_recurrent(model.adjacency, reach)).tolist())
+    sccs = tuple(frozenset(c) for c in _sccs(model.adjacency))
+    return ReachabilityReport(closures, recurrent, sccs)
 
 
 def linear_spectral_radius(
@@ -336,15 +277,9 @@ def linear_spectral_radius(
         raise ModelValidationError(f"matrix must be square, got {w.shape}")
     if (w < 0).any():
         raise ModelValidationError("matrix must be nonnegative")
-    n = w.shape[0]
-    helper = AdjacencyModel(tuple(str(i) for i in range(n)), (w > 0).astype(int), 2)
     best = -np.inf
-    for comp in _sccs(helper):
-        idx = sorted(comp)
-        block = w[np.ix_(idx, idx)]
-        if len(idx) == 1 and block[0, 0] == 0.0:
-            continue
-        rho = _perron_value(block, tol, max_iter)
+    for comp in _sccs(w > 0):
+        rho = _perron_value(w[np.ix_(comp, comp)], tol, max_iter)
         best = max(best, log(rho) if rho > 0 else -np.inf)
     return best
 

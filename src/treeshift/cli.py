@@ -22,7 +22,7 @@ from .alphabet_graph import (
     A1Violated,
     find_a0_and_period,
     is_irreducible,
-    load_model,
+    model_from_dict,
     reachability,
     reduce_a0,
 )
@@ -66,16 +66,11 @@ class RunManifest:
     wall_time_s: float
 
 
-def _hash_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _emit(payload: dict, command: str, path: str, config: dict, started: float) -> None:
+def _emit(payload: dict, command: str, digest: str, config: dict, started: float) -> None:
     payload["manifest"] = asdict(
         RunManifest(
             command=command,
-            input_sha256=_hash_file(path),
+            input_sha256=digest,
             config=config,
             tool_version=__version__,
             wall_time_s=round(time.perf_counter() - started, 6),
@@ -102,15 +97,16 @@ def _sanitize(obj):
     return obj
 
 
-def _load_reduced(path):
-    model = load_model(path)
-    reduced = reduce_a0(model)
-    return model, reduced
-
-
-def _read_raw(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load(path):
+    """One read of the model file: its SHA-256, JSON document, model, reduced model."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
+    model = model_from_dict(data)
+    return hashlib.sha256(raw).hexdigest(), data, model, reduce_a0(model)
 
 
 def _run(fn):
@@ -160,7 +156,7 @@ def analyze(model_file):
     started = time.perf_counter()
 
     def go():
-        model, reduced = _load_reduced(model_file)
+        digest, _, model, reduced = _load(model_file)
         payload = {
             "symbols": list(reduced.symbols),
             "d": reduced.arity,
@@ -186,7 +182,7 @@ def analyze(model_file):
         except A1Violated as exc:
             payload["a1_holds"] = False
             payload["a1_violation"] = str(exc)
-        _emit(payload, "analyze", model_file, {}, started)
+        _emit(payload, "analyze", digest, {}, started)
 
     _run(go)
 
@@ -206,7 +202,7 @@ def dimension(model_file, eigen_tol, entropy_n, scan_csv):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
+        digest, _, _, reduced = _load(model_file)
         if is_irreducible(reduced):
             report = hausdorff_dimension(reduced, eigen_tol=eigen_tol, entropy_n=entropy_n)
         else:
@@ -227,7 +223,7 @@ def dimension(model_file, eigen_tol, entropy_n, scan_csv):
             "period": report.period,
             "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
         }
-        _emit(payload, "dimension", model_file,
+        _emit(payload, "dimension", digest,
               {"eigen_tol": eigen_tol, "entropy_n": entropy_n},
               started)
 
@@ -254,8 +250,8 @@ def rate(model_file, class_index, grid_points, pressure_tol, csv_path):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
-        chain, _ = parse_weighted(_read_raw(model_file), reduced)
+        digest, data, _, reduced = _load(model_file)
+        chain, _ = parse_weighted(data, reduced)
         curve = rate_curve(
             chain, class_index, n_points=grid_points, pressure_tol=pressure_tol
         )
@@ -263,7 +259,7 @@ def rate(model_file, class_index, grid_points, pressure_tol, csv_path):
             curve.to_csv(fh)
         payload = dict(curve.summary())
         payload["csv"] = csv_path
-        _emit(payload, "rate", model_file,
+        _emit(payload, "rate", digest,
               {"class": class_index, "grid_points": grid_points,
                "pressure_tol": pressure_tol}, started)
 
@@ -277,8 +273,8 @@ def lln(model_file):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
-        chain, pi = parse_weighted(_read_raw(model_file), reduced)
+        digest, data, _, reduced = _load(model_file)
+        chain, pi = parse_weighted(data, reduced)
         period = find_a0_and_period(reduced)
         phases = [lln_limit(chain, j, period) for j in range(period.period)]
         a1, a2 = domain_endpoints(chain, 0, period)
@@ -292,7 +288,7 @@ def lln(model_file):
             lo, hi = lln_beta_bounds(chain, pi, period)
             payload["beta_minus"] = lo
             payload["beta_plus"] = hi
-        _emit(payload, "lln", model_file, {}, started)
+        _emit(payload, "lln", digest, {}, started)
 
     _run(go)
 
@@ -312,8 +308,8 @@ def simulate(model_file, seed, trials, depth, root, threads, csv_path):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
-        chain, _ = parse_weighted(_read_raw(model_file), reduced)
+        digest, data, _, reduced = _load(model_file)
+        chain, _ = parse_weighted(data, reduced)
         period = find_a0_and_period(reduced)
         root_sym = period.a0 if root is None else root
         config = SampleConfig(depth=depth, trials=trials, seed=seed, root=root_sym)
@@ -331,7 +327,7 @@ def simulate(model_file, seed, trials, depth, root, threads, csv_path):
             "passed": report.passed,
             "phase_checks": [asdict(c) for c in report.phase_checks],
         }
-        _emit(payload, "simulate", model_file,
+        _emit(payload, "simulate", digest,
               {"seed": seed, "trials": trials, "depth": depth,
                "root": root_sym, "threads": threads}, started)
 
@@ -351,8 +347,8 @@ def oracle(model_file, depth, root, class_guard, csv_path):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
-        chain, _ = parse_weighted(_read_raw(model_file), reduced)
+        digest, data, _, reduced = _load(model_file)
+        chain, _ = parse_weighted(data, reduced)
         root_sym = root if root is not None else find_a0_and_period(reduced).a0
         classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
         dist = mean_distribution(chain, classes, depth, root_sym)
@@ -378,7 +374,7 @@ def oracle(model_file, depth, root, class_guard, csv_path):
                 {"mean": atom.mean, "probability": atom.prob} for atom in dist.atoms
             ],
         }
-        _emit(payload, "oracle", model_file, {"n": depth, "root": root_sym}, started)
+        _emit(payload, "oracle", digest, {"n": depth, "root": root_sym}, started)
 
     _run(go)
 
@@ -391,14 +387,14 @@ def entropy(model_file, n_max):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
+        digest, _, _, reduced = _load(model_file)
         seq = entropy_iterate(reduced, n_max)
         payload = {
             "depths": list(seq.depths),
             "values": list(seq.values),
             "h_top": seq.h_top,
         }
-        _emit(payload, "entropy", model_file, {"n_max": n_max}, started)
+        _emit(payload, "entropy", digest, {"n_max": n_max}, started)
 
     _run(go)
 
@@ -413,7 +409,7 @@ def measure(model_file, eigen_tol, tol):
     started = time.perf_counter()
 
     def go():
-        _, reduced = _load_reduced(model_file)
+        digest, _, _, reduced = _load(model_file)
         report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
         om = optimal_markov_measure(reduced, report, tol=tol, eigen_tol=eigen_tol)
         payload = {
@@ -423,7 +419,7 @@ def measure(model_file, eigen_tol, tol):
             "validation_value": om.validation_value,
             "dim": om.dim,
         }
-        _emit(payload, "measure", model_file, {"eigen_tol": eigen_tol, "tol": tol}, started)
+        _emit(payload, "measure", digest, {"eigen_tol": eigen_tol, "tol": tol}, started)
 
     _run(go)
 

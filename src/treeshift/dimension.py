@@ -170,17 +170,12 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     Symbols keep their indices, so the period structure of the whole model
     applies to every block.  An irreducible model is its own single block.
     """
-    sccs = _sccs(model)
+    sccs = _sccs(model.adjacency)
     if len(sccs) == 1:
         return [model]
-    blocks = []
-    for comp in sccs:
-        inside = np.zeros(model.n_symbols, dtype=bool)
-        inside[list(comp)] = True
-        adj = model.adjacency * np.outer(inside, inside)
-        if adj.any():
-            blocks.append(AdjacencyModel(model.symbols, adj, model.arity))
-    return blocks
+    inside = [np.isin(np.arange(model.n_symbols), comp) for comp in sccs]
+    masked = [model.adjacency * np.outer(m, m) for m in inside]
+    return [AdjacencyModel(model.symbols, adj, model.arity) for adj in masked if adj.any()]
 
 
 def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
-from .errors import TooLarge
+from .errors import ModelValidationError, TooLarge
 from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted_recursion
 from .tree_core import lattice_size
 
@@ -196,8 +196,12 @@ def enumerate_type_classes(
     model = chain.base
     d = model.arity
     n_sym = model.n_symbols
+    if n < 0:
+        raise ModelValidationError(f"depth must be >= 0, got {n}")
     if root is None:
         root = find_a0_and_period(model).a0
+    elif not 0 <= root < n_sym:
+        raise ModelValidationError(f"root {root} is not a symbol index below {n_sym}")
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
     fractions = _exact_fractions(chain) if exact in (None, True) else None
     if exact is True and fractions is None:

@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .alphabet_graph import PeriodStructure, find_a0_and_period
-from .errors import TooLarge
+from .errors import ModelValidationError, TooLarge
 from .rate_function import WeightedChainModel, lln_limit
 from .tree_core import LabeledTree, TreeShape, lattice_size
 
@@ -36,7 +36,9 @@ class SampleConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ModelValidationError(f"need at least one trial, got {self.trials}")
+        if self.depth < 0:
+            raise ModelValidationError(f"depth must be >= 0, got {self.depth}")
 
     def check_size(self, d: int) -> int:
         count = lattice_size(d, self.depth)
@@ -55,6 +57,9 @@ def _level_stream(seed: int, trial: int, level: int) -> np.random.Generator:
 
 def _root_label(chain: WeightedChainModel, config: SampleConfig, trial: int) -> int:
     if isinstance(config.root, (int, np.integer)):
+        n = chain.base.n_symbols
+        if not 0 <= config.root < n:
+            raise ModelValidationError(f"root {config.root} is not a symbol index below {n}")
         return int(config.root)
     pi = np.asarray(config.root, dtype=float)
     u = float(_level_stream(config.seed, trial, 0).random(1)[0])
@@ -170,6 +175,8 @@ def lln_experiment(
     if period is None:
         period = find_a0_and_period(chain.base)
     p = period.period
+    if config.depth < p:
+        raise ModelValidationError(f"depth {config.depth} leaves a phase of period {p} unsampled")
     depth_means = _all_running_means(chain, config, threads)
     trial_means = depth_means[:, -1]
     emp = float(trial_means.mean())
@@ -179,7 +186,7 @@ def lln_experiment(
 
     checks = []
     for j in range(p):
-        depth = max(m for m in range(config.depth + 1) if m % p == j % p and m > 0)
+        depth = config.depth - (config.depth - j) % p  # the deepest level of phase j
         target = lln_limit(chain, j, period)
         col = depth_means[:, depth]
         c_emp = float(col.mean())

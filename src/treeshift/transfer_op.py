@@ -27,7 +27,7 @@ from math import log
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure
-from .errors import BadExponent, NoConvergence
+from .errors import BadExponent, ModelValidationError, NoConvergence
 
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 10**4
@@ -257,6 +257,8 @@ def entropy_iterate(model: AdjacencyModel, n_max: int = 40) -> EntropySequence:
     Emits log(sum_a c_k(a)) / |Lambda(k)| for k = 0..n_max and an Aitken
     extrapolation of the last three terms as the limit estimate.
     """
+    if n_max < 0:
+        raise ModelValidationError(f"entropy depth must be >= 0, got {n_max}")
     d = model.arity
     log_adj = log_weights(model.adjacency)
     x = np.zeros(model.n_symbols)

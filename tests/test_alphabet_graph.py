@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
+    PeriodStructure,
     find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
@@ -13,9 +14,220 @@ from treeshift import (
     reachability,
     reduce_a0,
 )
-from treeshift.errors import A1Violated, EmptyModel, ModelValidationError
+from treeshift.alphabet_graph import _perron_value
+from treeshift.errors import (
+    A1Violated,
+    ClassInconsistency,
+    EmptyModel,
+    ModelValidationError,
+)
 
 from conftest import make_model
+
+
+# Reference: the traversal implementation the reachability matrix replaced
+# (iterative Tarjan, one BFS per start symbol, per-edge loops, and the
+# column-deletion loop of the a0 reduction).  The property test below holds
+# the closure-based code to it, result for result.
+
+
+def _ref_children(adj, b):
+    return [int(a) for a in np.nonzero(adj[:, b])[0]]
+
+
+def _ref_descendants(adj, start):
+    dist = {start: 0}
+    queue = [start]
+    while queue:
+        b = queue.pop(0)
+        for a in _ref_children(adj, b):
+            if a not in dist:
+                dist[a] = dist[b] + 1
+                queue.append(a)
+    return set(dist), dist
+
+
+def _ref_sccs(adj):
+    n = adj.shape[0]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, sccs = [], []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(_ref_children(adj, root)))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(_ref_children(adj, w))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def _ref_find_a0_and_period(model, a0=None):
+    adj = model.adjacency
+    n = model.n_symbols
+    if not model.satisfies_a0():
+        raise ModelValidationError("model has empty columns; call reduce_a0 first")
+    if a0 is None:
+        candidate = None
+        recurrent = set()
+        for s in range(n):
+            reached, _ = _ref_descendants(adj, s)
+            if s in {a for b in reached for a in _ref_children(adj, b)}:
+                recurrent.add(s)
+            if len(reached) == n:
+                candidate = s
+                break
+        if candidate is None:
+            raise A1Violated(
+                "no symbol generates every symbol as a descendant",
+                recurrent=sorted(recurrent),
+            )
+        a0 = candidate
+    reached, dist = _ref_descendants(adj, a0)
+    if len(reached) != n:
+        raise A1Violated(f"symbol {a0} does not generate every symbol", recurrent=())
+    home = next(comp for comp in _ref_sccs(adj) if a0 in comp)
+    p = 0
+    for u in home:
+        for v in _ref_children(adj, u):
+            if v in home:
+                p = gcd(p, dist[u] + 1 - dist[v])
+    if p == 0:
+        raise A1Violated(f"symbol {a0} lies on no cycle", recurrent=())
+    class_of = [dist[a] % p for a in range(n)]
+    for b in range(n):
+        for a in _ref_children(adj, b):
+            if class_of[a] != (class_of[b] + 1) % p:
+                raise ClassInconsistency(
+                    f"edge {b}->{a} breaks the mod-{p} class labeling", row=a, col=b
+                )
+    classes = tuple(frozenset(a for a in range(n) if class_of[a] == j) for j in range(p))
+    return PeriodStructure(a0=a0, period=p, classes=classes, class_of=tuple(class_of))
+
+
+def _ref_reduce_a0(adj):
+    """Symbols left after deleting childless symbols to a fixpoint."""
+    keep = np.arange(adj.shape[0])
+    while True:
+        alive = adj.sum(axis=0) > 0
+        if alive.all():
+            return keep.tolist()
+        keep = keep[alive]
+        if keep.size == 0:
+            return None
+        adj = adj[np.ix_(alive.nonzero()[0], alive.nonzero()[0])]
+
+
+def _ref_reachability(adj):
+    n = adj.shape[0]
+    closures = tuple(frozenset(_ref_descendants(adj, a)[0]) for a in range(n))
+    sccs = _ref_sccs(adj)
+    recurrent = frozenset(
+        a for comp in sccs for a in comp if len(comp) > 1 or adj[a, a]
+    )
+    return closures, recurrent, {frozenset(c) for c in sccs}
+
+
+def _ref_linear_spectral_radius(w):
+    best = -np.inf
+    for comp in _ref_sccs((w > 0).astype(int)):
+        idx = sorted(comp)
+        block = w[np.ix_(idx, idx)]
+        if len(idx) == 1 and block[0, 0] == 0.0:
+            continue
+        rho = _perron_value(block, 1e-12, 10**5)
+        best = max(best, log(rho) if rho > 0 else -np.inf)
+    return best
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result, or the error's class, message and carried fields."""
+    try:
+        return fn(*args, **kwargs)
+    except ModelValidationError as exc:
+        return (
+            type(exc), str(exc), getattr(exc, "recurrent", None), exc.row, exc.col
+        )
+
+
+class TestAgainstTraversal:
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.85]),
+        st.integers(0, 2**36 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_structure_as_reference(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        adj = (rng.random((n, n)) < density).astype(int)
+        model = make_model(adj.tolist())
+
+        closures, recurrent, sccs = _ref_reachability(model.adjacency)
+        assert is_irreducible(model) == (len(sccs) == 1)
+        rep = reachability(model)
+        assert rep.closures == closures
+        assert rep.recurrent == recurrent
+        assert set(rep.scc_list) == sccs and len(rep.scc_list) == len(sccs)
+
+        keep = _ref_reduce_a0(model.adjacency)
+        if keep is None:
+            with pytest.raises(EmptyModel):
+                reduce_a0(model)
+        else:
+            assert reduce_a0(model).symbols == tuple(model.symbols[i] for i in keep)
+
+        for a0 in (None, *range(n)):
+            assert _outcome(find_a0_and_period, model, a0) == _outcome(
+                _ref_find_a0_and_period, model, a0
+            )
+
+        w = adj * rng.random((n, n))
+        assert linear_spectral_radius(w) == _ref_linear_spectral_radius(w)
+
+    def test_scc_list_by_smallest_member(self):
+        # 0 -> 3 <-> 1 and 2 <-> 4; Tarjan from 0 closed {1, 3} before {0}
+        model = make_model(
+            [[0, 0, 0, 0, 0],
+             [0, 0, 0, 1, 0],
+             [0, 0, 0, 0, 1],
+             [1, 1, 0, 0, 0],
+             [0, 0, 1, 0, 0]]
+        )
+        assert reachability(model).scc_list == (
+            frozenset({0}), frozenset({1, 3}), frozenset({2, 4})
+        )
 
 
 class TestReduce:

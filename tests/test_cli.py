@@ -324,6 +324,28 @@ class TestExitCodes:
         result = run_cli(["dimension", write_model(EXAMPLE2_ADJ), "--eigen-tol", "0"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["oracle", "--n", "-1"],
+            ["oracle", "--root", "5"],
+            ["simulate", "--root", "5"],
+            ["simulate", "--root", "-1"],
+            ["simulate", "--depth", "-1"],
+            ["simulate", "--depth", "0"],  # below the period: a phase has no level
+            ["simulate", "--trials", "0"],
+            ["entropy", "--n-max", "-1"],
+            ["dimension", "--entropy-n", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_count_or_root(self, write_model, args):
+        result = run_cli([args[0], write_model(EXAMPLE1), *args[1:]])
+        assert result.exit_code == 3
+        record = json.loads(result.stderr.splitlines()[-1])
+        assert record["exit_code"] == 3
+        assert record["error"] == "ModelValidationError"
+
     def test_installed_entry_point(self, write_model):
         result = subprocess.run(
             [sys.executable, "-m", "treeshift.cli", "analyze", write_model(FULL2)],
