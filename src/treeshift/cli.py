@@ -27,6 +27,7 @@ from .alphabet_graph import (
     reduce_a0,
 )
 from .dimension import (
+    check_tolerance,
     general_upper_bound,
     hausdorff_dimension,
     optimal_markov_measure,
@@ -409,6 +410,7 @@ def measure(model_file, eigen_tol, tol):
     started = time.perf_counter()
 
     def go():
+        check_tolerance("certificate tolerance", tol)  # before the dimension solve
         digest, _, _, reduced = _load(model_file)
         report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
         om = optimal_markov_measure(reduced, report, tol=tol, eigen_tol=eigen_tol)

@@ -15,7 +15,7 @@ simplex faces, which the search reaches exactly (see ``_search``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb, isfinite
 
 import numpy as np
 from scipy.optimize import minimize
@@ -123,20 +123,30 @@ def dim_objective(
     class_index: int = 0,
     eigen_tol: float = EIGEN_TOL,
 ) -> float:
-    """Rotated coefficient times the log principal eigenvalue on cone j.
+    """Rotated coefficient times the log principal eigenvalue on cone j (see ``_objective``)."""
+    values, _ = _objective([model], period, [s], class_index, eigen_tol, [None])
+    return float(values[0])
+
+
+def _objective(blocks, period: PeriodStructure, points, class_index: int, eigen_tol, starts):
+    """Objective at each simplex point ([K, p]) and each block's eigenpairs ([K] per block).
 
     The cycle on cone j starts at exponent r_{p-j} (the step the covering
     recursion applies to class-j vectors) and the matching coefficient is the
     bijection component q_{p-j}; that pairing makes the value independent of
-    j, to roundoff.
+    j, to roundoff.  A point scores the largest value over the blocks, each
+    block's power iteration starting from its entry of ``starts`` (None: the
+    class indicator).
     """
     p = period.period
-    param = simplex_to_ratios(s, model.arity, p)
     j = class_index % p
-    pair = principal_eigenpair(model, period, param.r, class_index=j, tol=eigen_tol)
-    if not np.isfinite(pair.log_rho):
-        return -inf
-    return float(param.q[(p - j) % p] * pair.log_rho)
+    params = [simplex_to_ratios(s, blocks[0].arity, p) for s in points]
+    r = np.array([param.r for param in params])
+    coef = np.array([param.q[(p - j) % p] for param in params])
+    pairs = [_eigen_rows(b, period, r, j, eigen_tol, start=x) for b, x in zip(blocks, starts)]
+    # coef > 0, so a collapsed cone (log_rho = -inf) scores -inf
+    log_rho = np.array([[pair.log_rho for pair in row] for row in pairs])
+    return (coef * log_rho).max(axis=0), pairs
 
 
 def _simplex_grid(p: int, step_denom: int):
@@ -198,22 +208,11 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     its simplex point, the number of objective evaluations, and the lattice
     points with their objective values.
     """
-    d, p = model.arity, period.period
+    p = period.period
     denom = _scan_denominator(p)
     points = np.array(list(_simplex_grid(p, denom)))
     blocks = _cyclic_blocks(model)
-
-    def objective(simplex_points, starts):
-        """Objective per point ([K, p]) and each block's eigenpairs ([K] per block)."""
-        params = [simplex_to_ratios(s, d, p) for s in simplex_points]
-        r = np.array([param.r for param in params])
-        q0 = np.array([param.q[0] for param in params])
-        pairs = [_eigen_rows(b, period, r, 0, eigen_tol, start=x) for b, x in zip(blocks, starts)]
-        # q0 > 0, so a collapsed cone (log_rho = -inf) scores -inf
-        log_rho = np.array([[pair.log_rho for pair in row] for row in pairs])
-        return (q0 * log_rho).max(axis=0), pairs
-
-    values, pairs = objective(points, [None] * len(blocks))
+    values, pairs = _objective(blocks, period, points, 0, eigen_tol, [None] * len(blocks))
     best = int(np.argmin(values))
     warm = [row[best].eigvec for row in pairs]
     pivot = int(np.argmax(points[best]))
@@ -225,7 +224,7 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
         return w / w.sum()
 
     def refine(u: np.ndarray) -> float:
-        value, pairs = objective([to_simplex(u)], warm)
+        value, pairs = _objective(blocks, period, [to_simplex(u)], 0, eigen_tol, warm)
         warm[:] = [row[0].eigvec for row in pairs]
         return float(value[0])
 
@@ -245,6 +244,45 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     return float(result.fun), to_simplex(result.x), evals, (points, values)
 
 
+def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
+    """The dimension formula on one model, as ``_search`` returns it.
+
+    With a class labeling of period p > 1 it is the simplex search.  At
+    p = 1, or with no consistent labeling (``period`` None), it is the linear
+    spectral radius, which bounds the dimension for any labeling; its scan is
+    the single point s = [1.0].
+    """
+    if period is not None and period.period > 1:
+        return _search(model, period, eigen_tol)
+    value = linear_spectral_radius(model.adjacency.T.astype(float))
+    return value, np.array([1.0]), 0, (np.array([[1.0]]), np.array([value]))
+
+
+def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int, h_top: float):
+    """The report of a ``_bound`` result on ``model``."""
+    dim, s, evals, (grid_s, grid_values) = bound
+    return DimensionReport(
+        dim=float(dim),
+        argmin_r=simplex_to_ratios(s, model.arity, len(s)).r,
+        argmin_s=np.asarray(s, dtype=float),
+        class_values=class_values,
+        h_top=h_top,
+        log_rho_linear=linear_spectral_radius(model.adjacency.T.astype(float)),
+        method=method,
+        iterations=evals,
+        a0=int(a0),
+        period=len(s),
+        grid_s=grid_s,
+        grid_values=grid_values,
+    )
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is negative or not a finite number."""
+    if not (isfinite(value) and value >= 0):
+        raise ModelValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def hausdorff_dimension(
     model: AdjacencyModel,
     period: PeriodStructure | None = None,
@@ -252,51 +290,20 @@ def hausdorff_dimension(
     entropy_n: int = 40,
 ) -> DimensionReport:
     """Exact dimension for irreducible models: lattice scan + Nelder-Mead refine."""
+    check_tolerance("eigen tolerance", eigen_tol)
     if not is_irreducible(model):
         raise ModelValidationError(
             "model is not irreducible; use general_upper_bound instead"
         )
     if period is None:
         period = find_a0_and_period(model)
-    p = period.period
-    log_rho = linear_spectral_radius(model.adjacency.T.astype(float))
     h_top = entropy_iterate(model, entropy_n).h_top
-
-    if p == 1:
-        return DimensionReport(
-            dim=log_rho,
-            argmin_r=np.array([1.0]),
-            argmin_s=np.array([1.0]),
-            class_values=(log_rho,),
-            h_top=h_top,
-            log_rho_linear=log_rho,
-            method="exact_irreducible",
-            iterations=0,
-            a0=period.a0,
-            period=1,
-            grid_s=np.array([[1.0]]),
-            grid_values=np.array([log_rho]),
-        )
-
-    dim, s_star, evals, (grid_s, grid_values) = _search(model, period, eigen_tol)
-    class_values = tuple(
-        dim_objective(model, period, s_star, j, eigen_tol=eigen_tol) for j in range(p)
+    bound = dim, s_star, _, _ = _bound(model, period, eigen_tol)
+    # the objective on every cone at the argmin; the linear bound is its own one value
+    class_values = (dim,) if period.period == 1 else tuple(
+        dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
     )
-    param = simplex_to_ratios(s_star, model.arity, p)
-    return DimensionReport(
-        dim=dim,
-        argmin_r=param.r,
-        argmin_s=s_star,
-        class_values=class_values,
-        h_top=h_top,
-        log_rho_linear=log_rho,
-        method="exact_irreducible",
-        iterations=evals,
-        a0=period.a0,
-        period=p,
-        grid_s=grid_s,
-        grid_values=grid_values,
-    )
+    return _report(model, bound, class_values, "exact_irreducible", period.a0, h_top)
 
 
 def general_upper_bound(
@@ -312,8 +319,9 @@ def general_upper_bound(
     the closure's class labeling is inconsistent (possible for reducible
     models), the linear spectral radius of the closure is used instead, which
     is always a valid upper bound.  The report's grid scan is that of the
-    closure that sets the bound.
+    first closure that sets the bound.
     """
+    check_tolerance("eigen tolerance", eigen_tol)
     model = reduce_a0(model)
     report = reachability(model)
     if not report.recurrent:
@@ -321,49 +329,21 @@ def general_upper_bound(
             "no symbol lies on a cycle: the shift holds finitely many trees (dimension 0)"
         )
     h_top = entropy_iterate(model, entropy_n).h_top
-    log_rho = linear_spectral_radius(model.adjacency.T.astype(float))
-
-    best = None
-    evals = 0
-    seen: set[frozenset] = set()
+    bases: dict[frozenset, int] = {}  # each closure once, with its smallest base symbol
     for a in sorted(report.recurrent):
-        closure = report.closures[a]
-        if closure in seen:
-            continue
-        seen.add(closure)
+        bases.setdefault(report.closures[a], a)
+    bounds = []
+    for closure, a in bases.items():
         keep = sorted(closure)
         sub = model.submodel(keep)
-        local_a0 = keep.index(a)
-        s_arg, p_found, scan = np.array([1.0]), 1, None
         try:
-            sub_period = find_a0_and_period(sub, a0=local_a0)
-            if sub_period.period > 1:
-                value, s_arg, evals_a, scan = _search(sub, sub_period, eigen_tol)
-                p_found = sub_period.period
-                evals += evals_a
+            sub_period = find_a0_and_period(sub, a0=keep.index(a))
         except ClassInconsistency:
-            pass
-        if scan is None:  # p = 1 or an inconsistent labeling: the linear bound
-            value = linear_spectral_radius(sub.adjacency.T.astype(float))
-            scan = (np.array([[1.0]]), np.array([value]))
-        if best is None or value > best[0]:
-            best = (value, s_arg, a, p_found, scan)
-
-    value, s_arg, a_best, p_found, (grid_s, grid_values) = best
-    return DimensionReport(
-        dim=float(value),
-        argmin_r=simplex_to_ratios(s_arg, model.arity, p_found).r,
-        argmin_s=np.asarray(s_arg, dtype=float),
-        class_values=(float(value),),
-        h_top=h_top,
-        log_rho_linear=log_rho,
-        method="upper_bound_general",
-        iterations=evals,
-        a0=int(a_best),
-        period=int(p_found),
-        grid_s=grid_s,
-        grid_values=grid_values,
-    )
+            sub_period = None
+        bounds.append((_bound(sub, sub_period, eigen_tol), a))
+    (value, s_arg, _, scan), a = max(bounds, key=lambda item: item[0][0])
+    bound = (value, s_arg, sum(b[2] for b, _ in bounds), scan)
+    return _report(model, bound, (float(value),), "upper_bound_general", a, h_top)
 
 
 @dataclass(frozen=True)
@@ -388,10 +368,8 @@ def spectral_bound_report(model: AdjacencyModel, tol: float = 1e-6) -> SpectralB
     equalities so callers can test the predicate against the right one.
     """
     model = reduce_a0(model)
-    if is_irreducible(model):
-        rep = hausdorff_dimension(model)
-    else:
-        rep = general_upper_bound(model)
+    # on an irreducible model this is the exact report, bar method and class values
+    rep = general_upper_bound(model)
     log_rho = rep.log_rho_linear
     col_sums = model.adjacency.sum(axis=0)
     predicate = bool((col_sums == col_sums[0]).all())
@@ -433,6 +411,8 @@ def optimal_markov_measure(
     smallest likelihood-decay phase of the built chain must reproduce the
     dimension.)
     """
+    check_tolerance("certificate tolerance", tol)
+    check_tolerance("eigen tolerance", eigen_tol)
     if not is_irreducible(model):
         raise ModelValidationError("optimal measure needs an irreducible model")
     period = find_a0_and_period(model)

@@ -198,6 +198,8 @@ def enumerate_type_classes(
     n_sym = model.n_symbols
     if n < 0:
         raise ModelValidationError(f"depth must be >= 0, got {n}")
+    if class_guard < 0:
+        raise ModelValidationError(f"class guard must be >= 0, got {class_guard}")
     if root is None:
         root = find_a0_and_period(model).a0
     elif not 0 <= root < n_sym:

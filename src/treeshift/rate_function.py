@@ -548,6 +548,10 @@ def rate_curve(
     _check_tol(pressure_tol)
     if period is None:
         period = find_a0_and_period(chain.base)
+    if not 0 <= class_index < period.period:
+        raise ModelValidationError(
+            f"class index must lie in [0, {period.period}), got {class_index}"
+        )
     a1, a2 = domain_endpoints(chain, class_index, period)
     if margin is None:
         margin = max(0.05 * (a2 - a1), 0.01)

@@ -69,10 +69,6 @@ def psi(log_w: np.ndarray, s, log_x: np.ndarray, dlog_w=None, dx=None):
     if not isinstance(s, np.ndarray) and s <= 0:
         raise BadExponent(f"exponent must be positive, got {s}")
     x = np.asarray(log_x, dtype=float)
-    if x.ndim == 1 and dlog_w is None:
-        # a zero entry adds nothing; cone vectors are mostly zeros
-        keep = x > -np.inf
-        log_w, x = log_w[..., keep, :], x[keep]
     z = log_w + x[..., :, None]
     peak = z.max(axis=-2, keepdims=True, initial=-np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -336,10 +336,21 @@ class TestExitCodes:
             ["simulate", "--trials", "0"],
             ["entropy", "--n-max", "-1"],
             ["dimension", "--entropy-n", "-3"],
+            ["dimension", "--eigen-tol", "-1"],
+            ["dimension", "--eigen-tol", "nan"],
+            ["dimension", "--eigen-tol", "inf"],
+            ["measure", "--eigen-tol", "-1"],
+            ["measure", "--eigen-tol", "nan"],
+            ["measure", "--tol", "-1"],
+            ["measure", "--tol", "nan"],
+            ["oracle", "--class-guard", "-1"],
+            ["rate", "--class-index", "7", "--csv", "rate.csv"],
+            ["rate", "--class-index", "-1", "--csv", "rate.csv"],
         ],
         ids=" ".join,
     )
-    def test_out_of_range_count_or_root(self, write_model, args):
+    def test_out_of_range_count_or_root(self, write_model, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)  # where a run that is not rejected writes its CSV
         result = run_cli([args[0], write_model(EXAMPLE1), *args[1:]])
         assert result.exit_code == 3
         record = json.loads(result.stderr.splitlines()[-1])

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import log
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
+    DimensionReport,
     dim_objective,
     find_a0_and_period,
     general_upper_bound,
@@ -170,12 +172,18 @@ class TestScan:
 
 
 class TestGeneralUpperBound:
-    def test_matches_exact_for_irreducible(self, period2, golden):
-        for model in (period2, golden):
-            exact = hausdorff_dimension(model).dim
+    @given(periodic_models)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_exact_for_irreducible(self, period2, golden, args):
+        # an irreducible model is its own one closure: the same solve, bit for bit
+        for model in (period2, golden, periodic_model(*args)[0]):
+            exact = hausdorff_dimension(model)
             bound = general_upper_bound(model)
             assert bound.method == "upper_bound_general"
-            assert bound.dim == pytest.approx(exact, abs=1e-9)
+            for field in fields(DimensionReport):
+                if field.name not in ("method", "class_values"):
+                    got, want = getattr(bound, field.name), getattr(exact, field.name)
+                    assert np.array_equal(got, want), field.name
 
     def test_block_diagonal_takes_max(self):
         adj = [
