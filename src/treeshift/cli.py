@@ -77,24 +77,42 @@ def _emit(payload: dict, command: str, digest: str, config: dict, started: float
             wall_time_s=round(time.perf_counter() - started, 6),
         )
     )
-    json.dump(_sanitize(payload), sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(_dumps(payload) + "\n")
+
+
+def _dumps(obj) -> str:
+    """One line of strict JSON.
+
+    The C encoder writes the document as it is; only a non-finite float
+    (``ValueError``) sends it through the ``_sanitize`` walk and its sentinels.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError:
+        return json.dumps(_sanitize(obj), allow_nan=False)
+
+
+def _plain(obj):
+    """The JSON value of an object the encoder does not know."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _sanitize(obj):
-    """Strict-JSON form: arrays to lists, non-finite floats to sentinels."""
+    """Strict-JSON form: plain values, non-finite floats to sentinels."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return "nan" if np.isnan(obj) else "inf" if obj > 0 else "-inf"
-    if isinstance(obj, frozenset):
-        return sorted(obj)
+    if isinstance(obj, (np.ndarray, np.generic, frozenset)):
+        return _sanitize(_plain(obj))
     return obj
 
 
@@ -140,7 +158,7 @@ def _fail(code: int, label: str, exc: BaseException):
             value = {k: v for k, v in vars(value).items() if isinstance(v, (int, float))}
         if value is not None:
             record[key] = value
-    click.echo(json.dumps(_sanitize(record), allow_nan=False), err=True)
+    click.echo(_dumps(record), err=True)
     sys.exit(code)
 
 
@@ -365,7 +383,7 @@ def oracle(model_file, depth, root, class_guard, csv_path):
             "total_probability": dist.total_prob(),
             "classes": [
                 {
-                    "levels": [list(level) for level in cls.levels],
+                    "levels": cls.levels,
                     "count": str(cls.count),  # decimal string: counts overflow JSON numbers
                     "log_prob": cls.log_prob,
                 }

@@ -13,10 +13,12 @@ integers throughout; 64-bit multinomials already overflow at n = 4, d = 2.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,10 +162,17 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> int:
     return out
 
 
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """Sum over one common denominator: one reduction instead of one per term."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
 def _compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
@@ -185,6 +194,16 @@ def _exact_fractions(chain: WeightedChainModel) -> list[list[Fraction]] | None:
     return fr
 
 
+class _Column(NamedTuple):
+    """One choice of the edge counts k[:, b] under the parents labeled b."""
+
+    counts: tuple[int, ...]  # k[a, b] for every symbol a
+    multinomial: int  # (d N_b)! / prod_a k[a, b]!
+    log_terms: tuple[float, ...]  # k[a, b] log M[a, b], children in order
+    num: int  # prod_a M[a, b]^k[a, b] = num / den, when M is exact
+    den: int
+
+
 def enumerate_type_classes(
     chain: WeightedChainModel,
     n: int,
@@ -192,7 +211,12 @@ def enumerate_type_classes(
     class_guard: int = CLASS_GUARD,
     exact: bool | None = None,
 ) -> list[TypeClass]:
-    """Every integer count system consistent with depth n and the given root."""
+    """Every integer count system consistent with depth n and the given root.
+
+    One pass: the recursion carries each class's count, edge log-probability
+    and exact probability down the levels, multiplying in one column choice
+    per parent symbol; the choices are built once per (b, N_b).
+    """
     model = chain.base
     d = model.arity
     n_sym = model.n_symbols
@@ -208,72 +232,56 @@ def enumerate_type_classes(
     fractions = _exact_fractions(chain) if exact in (None, True) else None
     if exact is True and fractions is None:
         raise ValueError("exact probabilities requested but M is not exactly rational")
-    log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0)
+    log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0).tolist()
+
+    @functools.cache
+    def columns(b: int, parents: int) -> list[_Column]:
+        """Every column k[:, b] under ``parents`` parents labeled b (none for a
+        dead symbol that has parents: no admissible continuation)."""
+        out = []
+        for comp in _compositions(d * parents, len(children[b])):
+            counts = [0] * n_sym
+            num = den = 1
+            for a, k in zip(children[b], comp):
+                counts[a] = k
+                if fractions is not None:
+                    num *= fractions[a][b].numerator ** k
+                    den *= fractions[a][b].denominator ** k
+            log_terms = tuple(k * log_m[a][b] for a, k in zip(children[b], comp))
+            out.append(_Column(tuple(counts), _multinomial(d * parents, comp), log_terms, num, den))
+        return out
 
     results: list[TypeClass] = []
 
-    def rec(level_idx, nvec, levels, edge_mats, log_prob_edges, prob_edges):
-        if level_idx == n:
-            count = 1
-            for i, kmat in enumerate(edge_mats):
-                for b in range(n_sym):
-                    col = tuple(kmat[a][b] for a in range(n_sym))
-                    if sum(col):
-                        count *= _multinomial(sum(col), col)
-            log_prob = _log_big(count) + log_prob_edges
-            prob = count * prob_edges if prob_edges is not None else None
+    def rec(nvec, levels, edges, count, log_prob_edges, num, den):
+        if len(edges) == n:
             results.append(
                 TypeClass(
-                    levels=tuple(levels),
-                    edges=tuple(tuple(tuple(row) for row in kmat) for kmat in edge_mats),
+                    levels=levels,
+                    edges=edges,
                     count=count,
-                    log_prob=log_prob,
-                    prob=prob,
+                    log_prob=_log_big(count) + log_prob_edges,
+                    prob=Fraction(count * num, den) if fractions is not None else None,
                 )
             )
             if len(results) > class_guard:
                 raise TooLarge(f"more than {class_guard} type classes at depth {n}")
             return
-        parents = [b for b in range(n_sym) if nvec[b] > 0]
-        options = []
-        for b in parents:
-            if not children[b]:
-                options.append([])  # dead parent symbol: no admissible continuation
-                continue
-            opts = []
-            for comp in _compositions(d * nvec[b], len(children[b])):
-                col = [0] * n_sym
-                for a, cnt in zip(children[b], comp):
-                    col[a] = cnt
-                opts.append(col)
-            options.append(opts)
-        for combo in itertools.product(*options):
-            kmat = [[0] * n_sym for _ in range(n_sym)]
-            for b, col in zip(parents, combo):
-                for a in range(n_sym):
-                    kmat[a][b] = col[a]
-            next_n = tuple(sum(kmat[a][b] for b in parents) for a in range(n_sym))
-            dlog = sum(
-                kmat[a][b] * log_m[a, b] for b in parents for a in children[b]
-            )
-            dprob = None
-            if prob_edges is not None:
-                dprob = prob_edges
-                for b in parents:
-                    for a in children[b]:
-                        if kmat[a][b]:
-                            dprob *= fractions[a][b] ** kmat[a][b]
-            rec(
-                level_idx + 1,
-                next_n,
-                levels + [next_n],
-                edge_mats + [kmat],
-                log_prob_edges + dlog,
-                dprob,
-            )
+        for combo in itertools.product(*[columns(b, nb) for b, nb in enumerate(nvec)]):
+            kmat = tuple(zip(*[col.counts for col in combo]))
+            next_n = tuple(map(sum, kmat))
+            c, p, q = count, num, den
+            for col in combo:
+                c *= col.multinomial
+                p *= col.num
+                q *= col.den
+            # terms by parent, then child, summed from 0: the float order of a
+            # per-class sum (the zero terms of absent parents change no bit)
+            dlog = sum(itertools.chain.from_iterable(col.log_terms for col in combo))
+            rec(next_n, levels + (next_n,), edges + (kmat,), c, log_prob_edges + dlog, p, q)
 
     start = tuple(1 if a == root else 0 for a in range(n_sym))
-    rec(0, start, [start], [], 0.0, Fraction(1) if fractions is not None else None)
+    rec(start, (start,), (), 1, 0.0, 1, 1)
     return results
 
 
@@ -336,26 +344,22 @@ def mean_distribution(
         for b in range(chain.base.n_symbols) if log_w[a, b] != 0.0
     ]
 
-    grouped: dict[tuple, dict] = {}
+    grouped: dict[tuple, list[TypeClass]] = {}
     for cls in classes:
-        key_mat = cls.total_edge_counts
-        key = tuple((a, b, int(key_mat[a, b])) for a, b in weighted_edges)
-        slot = grouped.setdefault(
-            key, {"probs": [], "exacts": [] if cls.prob is not None else None}
-        )
-        slot["probs"].append(math.exp(cls.log_prob))
-        if slot["exacts"] is not None and cls.prob is not None:
-            slot["exacts"].append(cls.prob)
+        key = tuple((a, b, sum(k[a][b] for k in cls.edges)) for a, b in weighted_edges)
+        grouped.setdefault(key, []).append(cls)
 
     atoms = []
-    for key, slot in grouped.items():
+    for key, members in grouped.items():
         mean = float(sum(cnt * log_w[a, b] for a, b, cnt in key) / total_nodes)
-        prob_exact = sum(slot["exacts"]) if slot["exacts"] is not None else None
+        exacts = None
+        if members[0].prob is not None:
+            exacts = [cls.prob for cls in members if cls.prob is not None]
         atoms.append(
             MeanAtom(
                 mean=mean,
-                prob=float(math.fsum(slot["probs"])),
-                prob_exact=prob_exact,
+                prob=float(math.fsum(math.exp(cls.log_prob) for cls in members)),
+                prob_exact=_exact_sum(exacts) if exacts is not None else None,
                 weighted_counts=key,
             )
         )

@@ -151,6 +151,8 @@ class ExperimentReport:
 
 
 def _all_running_means(chain, config, threads: int = 1) -> np.ndarray:
+    if threads < 1:
+        raise ModelValidationError(f"need at least one thread, got {threads}")
     trials = range(config.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

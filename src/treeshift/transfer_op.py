@@ -32,6 +32,7 @@ from .errors import BadExponent, ModelValidationError, NoConvergence
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 10**4
 PRODUCT_TOL = 1e-12
+LOG_MAX_FLOAT = log(np.finfo(float).max)
 
 
 def log_weights(w) -> np.ndarray:
@@ -256,6 +257,14 @@ def entropy_iterate(model: AdjacencyModel, n_max: int = 40) -> EntropySequence:
     if n_max < 0:
         raise ModelValidationError(f"entropy depth must be >= 0, got {n_max}")
     d = model.arity
+    # |Lambda(n)| < d^(n+1) / (d-1) and log c_n <= |Lambda(n)| log |A| must stay
+    # floats, with room to round
+    log_size = (n_max + 1) * log(d) - log(d - 1)
+    if log_size + log(max(log(model.n_symbols), 1.0)) > LOG_MAX_FLOAT - 1.0:
+        raise ModelValidationError(
+            f"entropy depth {n_max} leaves the float range: |Lambda({n_max})| is about "
+            f"e^{log_size:.0f}"
+        )
     log_adj = log_weights(model.adjacency)
     x = np.zeros(model.n_symbols)
     depths = [0]

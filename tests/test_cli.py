@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from math import log
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from treeshift.cli import _sanitize, main
+from treeshift.cli import _emit, _sanitize, main
 
 EXAMPLE1 = {
     "symbols": ["0", "1"],
@@ -334,8 +335,12 @@ class TestExitCodes:
             ["simulate", "--depth", "-1"],
             ["simulate", "--depth", "0"],  # below the period: a phase has no level
             ["simulate", "--trials", "0"],
+            ["simulate", "--threads", "0"],
+            ["simulate", "--threads", "-1"],
             ["entropy", "--n-max", "-1"],
+            ["entropy", "--n-max", "2000"],  # past the float range
             ["dimension", "--entropy-n", "-3"],
+            ["dimension", "--entropy-n", "100000"],
             ["dimension", "--eigen-tol", "-1"],
             ["dimension", "--eigen-tol", "nan"],
             ["dimension", "--eigen-tol", "inf"],
@@ -367,18 +372,18 @@ class TestExitCodes:
         assert json.loads(result.stdout)["period"] == 1
 
 
+def _reject(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 def _error_record(args):
     """Exit code and the JSON error record (last stderr line) of a failing run."""
     result = subprocess.run(
         [sys.executable, "-m", "treeshift.cli", *args], capture_output=True, text=True
     )
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 2  # the human-readable line, then the record
-    return result.returncode, json.loads(lines[-1], parse_constant=reject)
+    return result.returncode, json.loads(lines[-1], parse_constant=_reject)
 
 
 class TestErrorRecord:
@@ -413,3 +418,37 @@ class TestErrorRecord:
         # nan used to come out as "-inf"
         assert _sanitize([float("nan"), float("inf"), -float("inf"), 1.5]) == [
             "nan", "inf", "-inf", 1.5]
+
+
+class TestEmit:
+    def _emitted(self, payload, capsys):
+        _emit(payload, "test", "0" * 64, {"n": 1}, time.perf_counter())
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1  # one line
+        return json.loads(out, parse_constant=_reject)
+
+    def test_non_finite_payload_takes_the_sentinels(self, capsys):
+        payload = {
+            "bad": np.float64("inf"),
+            "array": np.array([[1.5, np.nan], [-np.inf, 0.25]]),
+            "int": np.int64(7),
+            "flag": np.bool_(True),
+            "symbols": frozenset({"b", "a"}),
+            "pair": (1, -0.5),
+        }
+        got = self._emitted(payload, capsys)
+        assert got == json.loads(json.dumps(_sanitize(payload)))
+        assert got["bad"] == "inf" and got["array"][0][1] == "nan"
+        assert got["flag"] is True and got["symbols"] == ["a", "b"]
+
+    def test_finite_payload_parses_as_the_indented_document(self, capsys):
+        payload = {
+            "x": np.float64(0.1) * 3,
+            "rows": np.arange(6, dtype=np.int64).reshape(2, 3),
+            "levels": ((1, 0), (1, 1)),
+            "count": str(10**40),
+            "nested": {"ok": np.bool_(False), "vals": [np.float32(0.5), 2**70]},
+        }
+        got = self._emitted(payload, capsys)
+        indented = json.dumps(_sanitize(payload), indent=2, allow_nan=False)
+        assert got == json.loads(indented)

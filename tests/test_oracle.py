@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,18 +9,137 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeshift import chain_from_matrices, find_a0_and_period, lattice_size, lln_limit, rate
+from treeshift import (
+    chain_from_matrices,
+    find_a0_and_period,
+    is_irreducible,
+    lattice_size,
+    lln_limit,
+    rate,
+)
 from treeshift.errors import TooLarge
 from treeshift.oracle import (
+    TypeClass,
+    _compositions,
+    _exact_fractions,
+    _log_big,
+    _multinomial,
     block_counts,
     enumerate_blocks,
     enumerate_type_classes,
     exact_mean_distribution,
     finite_rate,
+    mean_distribution,
 )
 
 from conftest import make_model, random_a0_matrix
+
+
+# Reference: the per-leaf enumeration the one-pass recursion replaced.  Every
+# leaf recomputes the multinomials of all levels and every combination
+# multiplies Fraction powers entry by entry.  The property test below holds
+# the fast code to it, class for class and bit for bit.
+
+
+def _ref_enumerate(chain, n, root, class_guard):
+    model = chain.base
+    d = model.arity
+    n_sym = model.n_symbols
+    children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
+    fractions = _exact_fractions(chain)
+    log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0)
+
+    results = []
+
+    def rec(level_idx, nvec, levels, edge_mats, log_prob_edges, prob_edges):
+        if level_idx == n:
+            count = 1
+            for i, kmat in enumerate(edge_mats):
+                for b in range(n_sym):
+                    col = tuple(kmat[a][b] for a in range(n_sym))
+                    if sum(col):
+                        count *= _multinomial(sum(col), col)
+            log_prob = _log_big(count) + log_prob_edges
+            prob = count * prob_edges if prob_edges is not None else None
+            results.append(
+                TypeClass(
+                    levels=tuple(levels),
+                    edges=tuple(tuple(tuple(row) for row in kmat) for kmat in edge_mats),
+                    count=count,
+                    log_prob=log_prob,
+                    prob=prob,
+                )
+            )
+            if len(results) > class_guard:
+                raise TooLarge(f"more than {class_guard} type classes at depth {n}")
+            return
+        parents = [b for b in range(n_sym) if nvec[b] > 0]
+        options = []
+        for b in parents:
+            if not children[b]:
+                options.append([])
+                continue
+            opts = []
+            for comp in _compositions(d * nvec[b], len(children[b])):
+                col = [0] * n_sym
+                for a, cnt in zip(children[b], comp):
+                    col[a] = cnt
+                opts.append(col)
+            options.append(opts)
+        for combo in itertools.product(*options):
+            kmat = [[0] * n_sym for _ in range(n_sym)]
+            for b, col in zip(parents, combo):
+                for a in range(n_sym):
+                    kmat[a][b] = col[a]
+            next_n = tuple(sum(kmat[a][b] for b in parents) for a in range(n_sym))
+            dlog = sum(
+                kmat[a][b] * log_m[a, b] for b in parents for a in children[b]
+            )
+            dprob = None
+            if prob_edges is not None:
+                dprob = prob_edges
+                for b in parents:
+                    for a in children[b]:
+                        if kmat[a][b]:
+                            dprob *= fractions[a][b] ** kmat[a][b]
+            rec(
+                level_idx + 1,
+                next_n,
+                levels + [next_n],
+                edge_mats + [kmat],
+                log_prob_edges + dlog,
+                dprob,
+            )
+
+    start = tuple(1 if a == root else 0 for a in range(n_sym))
+    rec(0, start, [start], [], 0.0, Fraction(1) if fractions is not None else None)
+    return results
+
+
+def _random_chain(seed, n_sym, d, denominator):
+    """Random irreducible chain; M's entries are multiples of 1/denominator."""
+    rng = np.random.default_rng(seed)
+    while True:
+        adj = (rng.random((n_sym, n_sym)) < 0.6).astype(int)
+        if (adj.sum(axis=0) > 0).all() and is_irreducible(make_model(adj.tolist(), d=d)):
+            break
+    m = np.zeros((n_sym, n_sym))
+    for b in range(n_sym):
+        rows = np.flatnonzero(adj[:, b])
+        cuts = np.sort(rng.choice(np.arange(1, denominator), len(rows) - 1, replace=False))
+        m[rows, b] = np.diff(np.concatenate([[0], cuts, [denominator]])) / denominator
+    w = np.where(adj == 1, rng.choice([0.5, 1.0, 2.0, 3.0], size=adj.shape), 0.0)
+    return chain_from_matrices(m, w, d=d)
+
+
+def _outcome(enumerate_fn, chain, n, root, class_guard):
+    try:
+        return enumerate_fn(chain, n, root, class_guard)
+    except TooLarge:
+        return "TooLarge"
 
 
 def small_fixtures():
@@ -118,6 +238,35 @@ class TestTypeClasses:
     def test_class_guard(self, example1):
         with pytest.raises(TooLarge):
             enumerate_type_classes(example1, 4, root=0, class_guard=100)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3),
+        st.sampled_from([2, 3]),
+        st.integers(1, 3),
+        st.sampled_from([8, 16, 10, 3]),  # dyadic, or rounded decimals and thirds
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_classes_as_reference(self, seed, n_sym, d, n, denominator):
+        chain = _random_chain(seed, n_sym, d, max(denominator, n_sym))
+        guard = 2000
+        for root in range(n_sym):
+            ref = _outcome(_ref_enumerate, chain, n, root, guard)
+            got = _outcome(enumerate_type_classes, chain, n, root, guard)
+            assert got == ref
+            if ref == "TooLarge":
+                continue
+            assert [float(c.log_prob).hex() for c in got] == [
+                float(c.log_prob).hex() for c in ref
+            ]
+            assert mean_distribution(chain, got, n, root) == mean_distribution(
+                chain, ref, n, root
+            )
+            # the guard trips at the same class: one below the total, never at it
+            total = len(ref)
+            assert _outcome(enumerate_type_classes, chain, n, root, total) == ref
+            assert _outcome(enumerate_type_classes, chain, n, root, total - 1) == "TooLarge"
+            assert _outcome(_ref_enumerate, chain, n, root, total - 1) == "TooLarge"
 
     def test_empirical_pair_columns(self, example1):
         for cls in enumerate_type_classes(example1, 2, root=0):

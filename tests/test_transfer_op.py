@@ -15,7 +15,7 @@ from treeshift import (
     psi,
 )
 from treeshift.dimension import _cyclic_blocks, simplex_to_ratios
-from treeshift.errors import BadExponent, NoConvergence
+from treeshift.errors import BadExponent, ModelValidationError, NoConvergence
 from treeshift.oracle import block_counts
 from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
@@ -325,6 +325,20 @@ class TestEntropy:
         log_phi = log((1 + sqrt(5)) / 2)
         assert seq.h_top > log_phi + 0.02
         assert seq.h_top == pytest.approx(0.5089, abs=2e-3)
+
+    def test_deepest_accepted_depth_stays_finite(self, golden, full3, nine):
+        for model in (golden, full3, nine):
+            depth = 2000
+            while True:  # a rejected depth raises before the recursion runs
+                try:
+                    seq = entropy_iterate(model, depth)
+                    break
+                except ModelValidationError:
+                    depth -= 1
+            assert 500 < depth < 2000
+            assert np.isfinite(seq.values).all() and np.isfinite(seq.h_top)
+            with pytest.raises(ModelValidationError, match="float range"):
+                entropy_iterate(model, depth + 1)
 
     def test_matches_exact_counts(self, period2, golden):
         for model in (period2, golden):
