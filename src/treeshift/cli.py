@@ -319,10 +319,9 @@ def lln(model_file):
 @click.option("--depth", default=12, show_default=True)
 @click.option("--root", default=None, type=int,
               help="Root symbol index (default: the distinguished symbol a0).")
-@click.option("--threads", default=1, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Optional per-trial CSV output.")
-def simulate(model_file, seed, trials, depth, root, threads, csv_path):
+def simulate(model_file, seed, trials, depth, root, csv_path):
     """Monte-Carlo sample-mean experiment against the phase limits."""
     started = time.perf_counter()
 
@@ -332,7 +331,7 @@ def simulate(model_file, seed, trials, depth, root, threads, csv_path):
         period = find_a0_and_period(reduced)
         root_sym = period.a0 if root is None else root
         config = SampleConfig(depth=depth, trials=trials, seed=seed, root=root_sym)
-        report = lln_experiment(chain, config, period, threads=threads)
+        report = lln_experiment(chain, config, period)
         if csv_path:
             with open(csv_path, "w") as fh:
                 fh.write("trial,sample_mean\n")
@@ -348,7 +347,7 @@ def simulate(model_file, seed, trials, depth, root, threads, csv_path):
         }
         _emit(payload, "simulate", digest,
               {"seed": seed, "trials": trials, "depth": depth,
-               "root": root_sym, "threads": threads}, started)
+               "root": root_sym}, started)
 
     _run(go)
 

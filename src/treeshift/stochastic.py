@@ -1,15 +1,19 @@
 """Reproducible Monte-Carlo over tree-indexed chains.
 
-Randomness contract: the uniform for BFS node i is a pure function of
-(seed, trial, level, offset) through a Philox-4x64 stream keyed by
-(seed, trial << 32 | level), drawing the whole level in offset order.  Since
-BFS index = level start + offset, trees are reproducible and independent of
-evaluation order, and trials or levels may be generated in parallel without
-changing a single draw.  Generator name recorded in reports: "philox4x64".
+Randomness contract: every draw at level k of trial t comes from one
+Philox-4x64 stream keyed by (seed, t << 32 | k), so samples are a pure
+function of (seed, trial, level) and independent of evaluation order; trial
+rows reduce in trial order.  A root drawn from a law takes the first uniform
+of level 0's stream.  Two samplers read these streams.  ``sample_tree`` labels
+BFS node i = level start + offset by inverse CDF from the uniform at that
+offset of its level's stream, and keeps the whole tree.  ``running_means``
+draws only each level's type: with N_b parents labeled b, the edge counts out
+of them are Multinomial(d N_b, M[:, b]), drawn for b = 0, 1, ... in order from
+the level's stream.  The two share the law of the types, not the draws.
+Generator name recorded in reports: "philox4x64".
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -98,31 +102,47 @@ def sample_tree(chain: WeightedChainModel, config: SampleConfig, trial: int = 0)
     return LabeledTree(TreeShape(d, config.depth, node_cap=config.node_cap), labels)
 
 
-def _streamed_level_sums(chain: WeightedChainModel, config: SampleConfig, trial: int):
-    """Per-level log-weight sums without keeping more than one level alive.
+def _edge_counts(chain: WeightedChainModel, config: SampleConfig, trial: int):
+    """Per-level type of one sampled tree: yields N[a, b], the edges b -> a into level k.
 
-    Yields (level, sum of log W over edges into that level).  Draws are
-    identical to ``sample_tree``'s by the randomness contract.
+    Given the parent counts N_b, the children of the parents labeled b are
+    Multinomial(d N_b, M[:, b]), independent across b.  Each draw runs over
+    b's supported children only, with the column renormalized, so every
+    drawn edge is admissible even where a column sums to slightly below 1.
     """
-    d = chain.arity
+    d, n = chain.arity, chain.base.n_symbols
     sup = chain.base.adjacency == 1
-    log_w = np.zeros_like(chain.W)
-    log_w[sup] = np.log(chain.W[sup])
-    current = np.array([_root_label(chain, config, trial)], dtype=np.int16)
+    children = [np.flatnonzero(col) for col in sup.T]
+    law = [chain.M[kids, b] / chain.M[kids, b].sum() for b, kids in enumerate(children)]
+    counts = np.zeros(n, dtype=np.int64)
+    counts[_root_label(chain, config, trial)] = 1
     for k in range(1, config.depth + 1):
-        parents = np.repeat(current, d)
-        u = _level_stream(config.seed, trial, k).random(d**k)
-        current = _next_level(chain, parents, u)
-        yield k, float(log_w[current, parents].sum())
+        rng = _level_stream(config.seed, trial, k)
+        edges = np.zeros((n, n), dtype=np.int64)
+        for b in np.flatnonzero(counts):
+            edges[children[b], b] = rng.multinomial(d * counts[b], law[b])
+        yield edges
+        counts = edges.sum(axis=1)
 
 
 def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -> np.ndarray:
-    """Sample means by depth m = 0..depth for one trial (streaming, cap-free)."""
+    """Sample means by depth m = 0..depth for one trial, drawn level by level as types.
+
+    Level counts are int64, so a depth with d^depth >= 2^63 is rejected
+    before any draw.
+    """
     d = chain.arity
+    if d ** min(config.depth, 63) >= 2**63:
+        raise ModelValidationError(
+            f"depth {config.depth} at d = {d}: a level of d^depth nodes overflows int64 counts"
+        )
+    sup = chain.base.adjacency == 1
+    log_w = np.zeros_like(chain.W)
+    log_w[sup] = np.log(chain.W[sup])
     out = np.zeros(config.depth + 1)
     acc = 0.0
-    for k, level_sum in _streamed_level_sums(chain, config, trial):
-        acc += level_sum
+    for k, edges in enumerate(_edge_counts(chain, config, trial), start=1):
+        acc += float((edges * log_w).sum())
         out[k] = acc / lattice_size(d, k)
     return out
 
@@ -150,23 +170,14 @@ class ExperimentReport:
     seed: int
 
 
-def _all_running_means(chain, config, threads: int = 1) -> np.ndarray:
-    if threads < 1:
-        raise ModelValidationError(f"need at least one thread, got {threads}")
-    trials = range(config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: running_means(chain, config, t), trials))
-    else:
-        rows = [running_means(chain, config, t) for t in trials]
-    return np.vstack(rows)  # trial order fixed regardless of worker count
+def _all_running_means(chain, config) -> np.ndarray:
+    return np.vstack([running_means(chain, config, t) for t in range(config.trials)])
 
 
 def lln_experiment(
     chain: WeightedChainModel,
     config: SampleConfig,
     period: PeriodStructure | None = None,
-    threads: int = 1,
     sigma: float = 3.0,
 ) -> ExperimentReport:
     """Compare sampled running means against the almost-sure phase limits.
@@ -179,7 +190,7 @@ def lln_experiment(
     p = period.period
     if config.depth < p:
         raise ModelValidationError(f"depth {config.depth} leaves a phase of period {p} unsampled")
-    depth_means = _all_running_means(chain, config, threads)
+    depth_means = _all_running_means(chain, config)
     trial_means = depth_means[:, -1]
     emp = float(trial_means.mean())
     se = float(trial_means.std(ddof=1) / sqrt(config.trials)) if config.trials > 1 else 0.0
@@ -244,7 +255,6 @@ def tail_estimate(
     config: SampleConfig,
     interval: tuple[float, float],
     period: PeriodStructure | None = None,
-    threads: int = 1,
 ) -> TailReport:
     """Naive frequency estimate of P(mean in S | root) per depth.
 
@@ -252,7 +262,7 @@ def tail_estimate(
     need exponentially many trials.  Wilson intervals quantify that honestly.
     """
     lo, hi = interval
-    depth_means = _all_running_means(chain, config, threads)
+    depth_means = _all_running_means(chain, config)
     d = chain.arity
     depths, freqs, rates, wlo, whi = [], [], [], [], []
     for m in range(1, config.depth + 1):

@@ -254,17 +254,6 @@ class TestSimulate:
         assert rows[0] == "trial,sample_mean"
         assert len(rows) == 11
 
-    def test_thread_flag_does_not_change_output(self, write_model):
-        model = write_model(EXAMPLE1)
-        base = ["simulate", model, "--depth", "9", "--trials", "8", "--seed", "1"]
-        one = run_json(base + ["--threads", "1"])
-        four = run_json(base + ["--threads", "4"])
-        one["manifest"].pop("wall_time_s")
-        four["manifest"].pop("wall_time_s")
-        one["manifest"]["config"].pop("threads")
-        four["manifest"]["config"].pop("threads")
-        assert one == four
-
 
 class TestOracle:
     def test_probabilities_sum_to_one(self, write_model, tmp_path):
@@ -326,8 +315,8 @@ class TestExitCodes:
         assert result.exit_code == 4
 
     @pytest.mark.parametrize(
-        "args",
-        [
+        "args, model",
+        [pytest.param(args, EXAMPLE1, id=" ".join(args)) for args in [
             ["oracle", "--n", "-1"],
             ["oracle", "--root", "5"],
             ["simulate", "--root", "5"],
@@ -335,8 +324,6 @@ class TestExitCodes:
             ["simulate", "--depth", "-1"],
             ["simulate", "--depth", "0"],  # below the period: a phase has no level
             ["simulate", "--trials", "0"],
-            ["simulate", "--threads", "0"],
-            ["simulate", "--threads", "-1"],
             ["entropy", "--n-max", "-1"],
             ["entropy", "--n-max", "2000"],  # past the float range
             ["dimension", "--entropy-n", "-3"],
@@ -351,12 +338,15 @@ class TestExitCodes:
             ["oracle", "--class-guard", "-1"],
             ["rate", "--class-index", "7", "--csv", "rate.csv"],
             ["rate", "--class-index", "-1", "--csv", "rate.csv"],
+        ]] + [
+            # a level of 3^40 nodes overflows the sampler's int64 counts
+            pytest.param(["simulate", "--depth", "40"], dict(EXAMPLE1, d=3),
+                         id="simulate --depth 40 at d=3"),
         ],
-        ids=" ".join,
     )
-    def test_out_of_range_count_or_root(self, write_model, tmp_path, monkeypatch, args):
+    def test_out_of_range_count_or_root(self, write_model, tmp_path, monkeypatch, args, model):
         monkeypatch.chdir(tmp_path)  # where a run that is not rejected writes its CSV
-        result = run_cli([args[0], write_model(EXAMPLE1), *args[1:]])
+        result = run_cli([args[0], write_model(model), *args[1:]])
         assert result.exit_code == 3
         record = json.loads(result.stderr.splitlines()[-1])
         assert record["exit_code"] == 3

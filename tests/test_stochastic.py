@@ -1,9 +1,11 @@
+import time
 from math import log, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from treeshift import (
     SampleConfig,
@@ -16,9 +18,9 @@ from treeshift import (
     tail_estimate,
     validate_admissible,
 )
-from treeshift.errors import TooLarge
+from treeshift.errors import ModelValidationError, TooLarge
 from treeshift.oracle import exact_mean_distribution
-from treeshift.stochastic import _next_level, running_means
+from treeshift.stochastic import _edge_counts, _next_level, running_means
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +45,6 @@ class TestSampleTree:
         assert np.array_equal(a.labels, b.labels)
         c = sample_tree(example1, cfg, trial=8)
         assert not np.array_equal(a.labels, c.labels)
-
-    def test_streamed_means_match_full_tree(self, example1):
-        cfg = SampleConfig(depth=8, seed=21)
-        tree = sample_tree(example1, cfg, trial=2)
-        means = running_means(example1, cfg, trial=2)
-        from treeshift import sample_mean
-
-        for m in range(1, 9):
-            assert means[m] == pytest.approx(
-                sample_mean(tree, example1.W, m), abs=1e-12
-            )
 
     def test_sampled_trees_admissible(self, example1, example2):
         for chain in (example1, example2):
@@ -154,6 +145,111 @@ class TestSampleTree:
         assert late < early
 
 
+MEAN_TOL = 1e-12
+CHI2_ALPHA = 1e-4
+
+
+def _sparse_chain(seed, n, d=2):
+    """Irreducible sparse support (a Hamiltonian cycle plus a few edges), random M and W."""
+    rng = np.random.default_rng(seed)
+    adj = (rng.random((n, n)) < 0.4).astype(int)
+    cycle = rng.permutation(n)
+    adj[np.roll(cycle, -1), cycle] = 1
+    m = np.where(adj == 1, rng.random((n, n)) + 0.1, 0.0)
+    w = np.where(adj == 1, 3 * rng.random((n, n)) + 0.2, 0.0)
+    return chain_from_matrices(m / m.sum(axis=0, keepdims=True), w, d=d)
+
+
+def _exact_law_pvalue(sampler, law, n, root, trials=2000, seed=1, bins=20):
+    """Chi-square p-value of ``sampler``'s depth-n means against ``law``'s exact atoms.
+
+    Atoms whose means agree within MEAN_TOL are one value (the oracle keys
+    atoms by edge counts, and different counts can give the same mean).
+    Every sampled mean must match one value within MEAN_TOL; consecutive
+    values are then pooled into bins of probability at least 1/bins.
+    """
+    atoms = sorted(exact_mean_distribution(law, n, root).atoms, key=lambda a: a.mean)
+    means = np.array([a.mean for a in atoms])
+    new_value = np.concatenate([[True], np.diff(means) > MEAN_TOL])
+    values = means[new_value]
+    probs = np.bincount(np.cumsum(new_value) - 1, weights=[a.prob for a in atoms])
+    assert np.all(np.diff(values) > 2 * MEAN_TOL)
+
+    cfg = SampleConfig(depth=n, trials=trials, seed=seed, root=root)
+    got = np.array([running_means(sampler, cfg, t)[n] for t in range(trials)])
+    nearest = np.abs(got[:, None] - values[None, :]).argmin(axis=1)
+    assert np.abs(got - values[nearest]).max() <= MEAN_TOL
+
+    group, mass = np.zeros(values.size, dtype=int), 0.0
+    for i, p in enumerate(probs):
+        if mass >= 1 / bins:
+            group[i:], mass = group[i - 1] + 1, 0.0
+        mass += p
+    if mass < 1 / bins:  # a light last bin joins the one before it
+        group[group == group[-1]] = max(group[-1] - 1, 0)
+    expected = trials * np.bincount(group, weights=probs)
+    observed = np.bincount(group[nearest], minlength=expected.size)
+    if expected.size == 1:
+        return 1.0
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, expected.size - 1))
+
+
+SPARSE = _sparse_chain(0, 3)  # 3 symbols, 5 edges: 285-1,171 atoms at depth 4
+
+
+class TestTypeSampler:
+    @pytest.mark.parametrize(
+        "name, n, roots",
+        [("example1", 5, (0, 1)), ("extreme", 5, (0, 1)), ("sparse", 4, (0, 1, 2))],
+    )
+    def test_means_follow_exact_law(self, request, name, n, roots):
+        chain = SPARSE if name == "sparse" else request.getfixturevalue(name)
+        for root in roots:
+            assert _exact_law_pvalue(chain, chain, n, root) >= CHI2_ALPHA
+
+    @pytest.mark.parametrize("name, n", [("example1", 5), ("sparse", 4)])
+    def test_perturbed_column_fails_exact_law(self, request, name, n):
+        # negative control: sampling from M with 0.05 of one column's mass
+        # moved between two children must fail the same test
+        chain = SPARSE if name == "sparse" else request.getfixturevalue(name)
+        b = int(np.argmax((chain.M > 0).sum(axis=0)))
+        kids = np.flatnonzero(chain.M[:, b] > 0)
+        m = chain.M.copy()
+        m[kids[0], b] += 0.05
+        m[kids[1], b] -= 0.05
+        biased = chain_from_matrices(m, chain.W, d=chain.arity)
+        assert _exact_law_pvalue(biased, chain, n, root=0) < CHI2_ALPHA
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_edge_counts_on_support(self, seed, n, d):
+        chain = _sparse_chain(seed, n, d)
+        root = int(np.random.default_rng(seed).integers(n))
+        cfg = SampleConfig(depth=8, seed=seed, root=root)
+        parents = np.eye(n, dtype=np.int64)[root]
+        for k, edges in enumerate(_edge_counts(chain, cfg, trial=seed % 5), start=1):
+            assert edges.dtype == np.int64 and edges.min() >= 0
+            assert np.all(edges[chain.base.adjacency == 0] == 0)
+            assert edges.sum() == d**k
+            assert np.array_equal(edges.sum(axis=0), d * parents)
+            parents = edges.sum(axis=1)
+
+    @pytest.mark.parametrize("d, deepest", [(3, 39), (2, 62)])
+    def test_deepest_accepted_depth(self, example1, d, deepest):
+        # level counts are int64: d^depth < 2^63 is accepted, one more level is not
+        chain = chain_from_matrices(example1.M, example1.W, d=d)
+        cfg = SampleConfig(depth=deepest, seed=4)
+        started = time.perf_counter()
+        means = running_means(chain, cfg, trial=0)
+        assert time.perf_counter() - started < 1.0
+        assert np.all(np.isfinite(means))
+        assert means[-1] == pytest.approx(log(2) / 3, abs=1e-6)
+        assert list(_edge_counts(chain, cfg, trial=0))[-1].sum() == d**deepest
+        with pytest.raises(ModelValidationError):
+            running_means(chain, SampleConfig(depth=deepest + 1), trial=0)
+
+
 class TestLlnExperiment:
     def test_example1_within_three_sigma(self, example1):
         cfg = SampleConfig(depth=12, trials=30, seed=2)
@@ -162,13 +258,6 @@ class TestLlnExperiment:
         check = report.phase_checks[0]
         assert check.target == pytest.approx(log(2) / 3, abs=1e-12)
         assert abs(check.empirical - check.target) <= 3 * check.stderr
-
-    def test_thread_count_invariance(self, example1):
-        cfg = SampleConfig(depth=11, trials=16, seed=4)
-        serial = lln_experiment(example1, cfg, threads=1)
-        parallel = lln_experiment(example1, cfg, threads=4)
-        assert np.array_equal(serial.depth_means, parallel.depth_means)
-        assert serial.phase_checks == parallel.phase_checks
 
     def test_extreme_parity_separation(self, extreme):
         period = find_a0_and_period(extreme.base)
