@@ -238,6 +238,7 @@ def dimension(model_file, eigen_tol, entropy_n, scan_csv):
             "log_rho_linear": report.log_rho_linear,
             "method": report.method,
             "iterations": report.iterations,
+            "gap": report.gap,
             "a0": report.a0,
             "period": report.period,
             "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),

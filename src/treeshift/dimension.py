@@ -10,15 +10,15 @@ instead: the affine map
 
 is a bijection from the simplex onto the exponent set, and the coefficient
 in the objective equals q_0.  The boundary r_i = d (often optimal) sits on
-simplex faces, which the search reaches exactly (see ``_search``).
+simplex faces, which the search reaches exactly (see ``_refine``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, isfinite
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .alphabet_graph import (
     AdjacencyModel,
@@ -55,8 +55,14 @@ from .transfer_op import (
 SIMPLEX_TOL = 1e-12
 SCAN_MAX_POINTS = 51
 SCAN_MAX_DENOM = 50
-NM_FTOL = 1e-12
-NM_XTOL = 1e-9
+# the search stops once the Frank-Wolfe gap, an upper bound on f - f*, is below GAP_TOL
+GAP_TOL = 1e-11
+# gradient-difference step of the Hessian, and the line search's sufficient decrease
+FD_STEP = 1e-4
+ARMIJO = 1e-4
+# least curvature per unit of gradient in a step, and the rounding a tie of blocks may carry
+FLAT_CURVATURE = 1e-6
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,15 @@ def simplex_to_ratios(s, d: int, p: int) -> ExponentVector:
     s = np.clip(s, 0.0, None)
     if s.shape != (p,):
         raise ModelValidationError(f"expected {p} simplex coordinates, got {s.shape}")
-    scale = (d**p - d ** (p - 1)) / (d**p - 1.0)
-    q = np.array(
-        [sum(s[(i - j) % p] * d ** (-j) for j in range(p)) * scale for i in range(p)]
-    )
+    q = _bijection_matrix(d, p) @ s
     r = q / np.roll(q, -1)
     return ExponentVector(r=r, q=q)
+
+
+def _bijection_matrix(d: int, p: int) -> np.ndarray:
+    """C with q = C s: C[i, k] = d^-((i - k) mod p) (d^p - d^(p-1)) / (d^p - 1)."""
+    lag = (np.arange(p)[:, None] - np.arange(p)) % p
+    return (d**p - d ** (p - 1)) / (d**p - 1.0) * float(d) ** -lag
 
 
 def ratios_to_simplex(r, d: int, p: int) -> np.ndarray:
@@ -107,7 +116,11 @@ class DimensionReport:
     h_top: float
     log_rho_linear: float
     method: str
+    # lattice points scanned plus objective-and-gradient evaluations
     iterations: int
+    # the Frank-Wolfe gap at the argmin, a bound on dim - (true minimum);
+    # 0.0 where no search runs
+    gap: float
     a0: int
     period: int
     # the simplex grid the search scanned and the objective at each point;
@@ -125,18 +138,18 @@ def dim_objective(
 ) -> float:
     """Rotated coefficient times the log principal eigenvalue on cone j (see ``_objective``)."""
     values, _ = _objective([model], period, [s], class_index, eigen_tol, [None])
-    return float(values[0])
+    return float(values[0, 0])
 
 
 def _objective(blocks, period: PeriodStructure, points, class_index: int, eigen_tol, starts):
-    """Objective at each simplex point ([K, p]) and each block's eigenpairs ([K] per block).
+    """Each block's objective at each simplex point ([B, K]) and eigenpairs ([K] per block).
 
     The cycle on cone j starts at exponent r_{p-j} (the step the covering
     recursion applies to class-j vectors) and the matching coefficient is the
     bijection component q_{p-j}; that pairing makes the value independent of
-    j, to roundoff.  A point scores the largest value over the blocks, each
-    block's power iteration starting from its entry of ``starts`` (None: the
-    class indicator).
+    j, to roundoff.  A point scores the largest value over the blocks
+    (``.max(axis=0)``), each block's power iteration starting from its entry
+    of ``starts`` (None: the class indicator, [n] or [K, n]: logs).
     """
     p = period.period
     j = class_index % p
@@ -146,7 +159,7 @@ def _objective(blocks, period: PeriodStructure, points, class_index: int, eigen_
     pairs = [_eigen_rows(b, period, r, j, eigen_tol, start=x) for b, x in zip(blocks, starts)]
     # coef > 0, so a collapsed cone (log_rho = -inf) scores -inf
     log_rho = np.array([[pair.log_rho for pair in row] for row in pairs])
-    return (coef * log_rho).max(axis=0), pairs
+    return coef * log_rho, pairs
 
 
 def _simplex_grid(p: int, step_denom: int):
@@ -188,60 +201,233 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     return [AdjacencyModel(model.symbols, adj, model.arity) for adj in masked if adj.any()]
 
 
-def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
-    """Minimize the objective over the simplex: lattice scan, then Nelder-Mead.
+def _log_rho_gradient(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d log rho / d r_i of the cone-0 cycle at its eigenvector ``x`` (logs, -inf off support).
 
-    The scan covers the simplex lattice of ``_scan_denominator(p)``, one
-    batched eigen loop per block.  Nelder-Mead then runs over p - 1 free
-    coordinates u through s = w / sum(w), with w = 1 at the pivot (the
-    largest coordinate of the best lattice point) and w_i = u_i^2 elsewhere.
-    The map covers the whole simplex except the face s_pivot = 0, so an
-    optimum on any other face is reached exactly, with no penalty or
-    clipping.  Each evaluation starts its power iteration from the previous
-    evaluation's eigenvector of the same block (first, the best lattice
-    point's): nearby exponents have nearby eigenvectors on the same support.
+    Step i sends x_i to x_{i+1} = r_i z_i, z_i = log(A^T exp(x_i)), with
+    Jacobian J_i = r_i S_i (S_i the row-stochastic softmax of the step).
+    The cycle is additively homogeneous, so at the eigenvector its Jacobian
+    J = J_{p-1} ... J_0 is row-stochastic and d log rho = pi^T dL for the
+    left Perron vector pi of J: d log rho / d r_i = pi^T J_{p-1} ... J_{i+1} z_i.
+    """
+    support = np.flatnonzero(np.isfinite(x))
+    x = x[support]
+    softmax, lse = [], []
+    for r_i in r:
+        nxt = psi(log_adj[support], float(r_i), x)
+        kept = np.flatnonzero(np.isfinite(nxt))
+        z = nxt[kept] / r_i
+        softmax.append(np.exp(log_adj[np.ix_(support, kept)] + x[:, None] - z).T)
+        lse.append(z)
+        support, x = kept, nxt[kept]
+    jac = np.eye(len(x))
+    for r_i, step in zip(r, softmax):
+        jac = r_i * step @ jac
+    k = len(jac)
+    system = np.vstack([jac.T - np.eye(k), np.ones((1, k))])
+    adjoint = np.linalg.lstsq(system, np.eye(k + 1)[k], rcond=None)[0]
+    grad = np.empty(len(r))
+    for i in reversed(range(len(r))):
+        grad[i] = adjoint @ lse[i]
+        adjoint = r[i] * softmax[i].T @ adjoint
+    return grad
 
-    A point scores the largest objective over the model's cyclic SCC blocks
-    (one block when irreducible).  Power iteration on a reducible closure
-    whose blocks grow at the same rate converges like 1/n (a Jordan block),
-    while each block alone converges geometrically.  Returns the minimum,
-    its simplex point, the number of objective evaluations, and the lattice
-    points with their objective values.
+
+def _gradients(blocks, period: PeriodStructure, points: np.ndarray, starts, eigen_tol):
+    """Each block's objective and its gradient in s at each point, from one eigen loop per block.
+
+    Returns values [K, B], gradients [K, B, p], each point's noise (the
+    widest eigenvalue bracket times the coefficient) and, per block, the
+    eigenvectors [K, n].  The objective q_0 log rho(r) extends to the
+    positive orthant with degree 1 (q is linear in s and r only reads its
+    ratios), so the gradient satisfies g . s = f, and the chain rule runs
+    through q = C s and r_i = q_i / q_{i+1}.
+    """
+    p, d = period.period, blocks[0].arity
+    params = [simplex_to_ratios(s, d, p) for s in points]
+    q = np.array([param.q for param in params])
+    r = np.array([param.r for param in params])
+    c_mat = _bijection_matrix(d, p)
+    nxt = np.roll(np.arange(p), -1)
+    values, pairs = _objective(blocks, period, points, 0, eigen_tol, starts)
+    grads = np.zeros((len(points), len(blocks), p))
+    noise = np.zeros(len(points))
+    for b, (block, row) in enumerate(zip(blocks, pairs)):
+        log_adj = log_weights(block.adjacency)
+        for k, pair in enumerate(row):
+            if pair.log_rho == -np.inf:
+                continue
+            g_r = q[k, 0] * _log_rho_gradient(log_adj, r[k], pair.eigvec) / q[k, nxt]
+            g_q = g_r.copy()
+            g_q[0] += pair.log_rho
+            np.add.at(g_q, nxt, -g_r * r[k])
+            grads[k, b] = c_mat.T @ g_q
+            # the bracket's width, or rounding where the bracket closed tighter
+            noise[k] = max(noise[k], q[k, 0] * pair.residual, 1e-15 * abs(values[b, k]))
+    return values.T, grads, noise, [np.array([pair.eigvec for pair in row]) for row in pairs]
+
+
+def _newton_step(hess: np.ndarray, values: np.ndarray, grads: np.ndarray, lam, free, pivot):
+    """The step d (summing to 0, moving only ``free`` and ``pivot``) and its weights on the blocks.
+
+    d minimizes max_b (f_b + g_b . d) + d^T H d / 2 over the live blocks, in
+    the coordinates d_k (k in ``free``) with d_pivot = -sum d_k, where H is
+    the Hessian of the blocks' combination by ``lam``.  The minimum is found
+    exactly from the KKT system of every set A of blocks that can tie:
+    H d + sum_A mu_b g_b = 0, f_b + g_b . d = z on A, sum mu = 1, with
+    mu >= 0 and no other block above z.  Where H is near flat the ties, not
+    H, fix the step.  With one live block this is the Newton step on the
+    face.  The weights returned are the multipliers mu.
+    """
+    p, m = grads.shape[1], len(free)
+    basis = np.zeros((p, m))
+    basis[free, np.arange(m)] = 1.0
+    basis[pivot] = -1.0
+    live = np.flatnonzero(values > -np.inf)
+    offset = values[live] - values.max()
+    g_red = grads[live] @ basis
+    reduced = basis.T @ np.einsum("b,bij->ij", lam, hess) @ basis
+    eig, vec = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    # a convex objective has H >= 0; the floor keeps a difference-noise
+    # eigenvalue from flipping the step, and sends a flat direction about
+    # 1 / FLAT_CURVATURE simplex widths, so a face stops it
+    h_red = (vec * np.maximum(eig, FLAT_CURVATURE * np.abs(g_red).max(initial=0.0))) @ vec.T
+    best, best_key = None, None
+    for k in range(1, min(len(live), m + 1) + 1):
+        for tie in map(list, combinations(range(len(live)), k)):
+            kkt = np.zeros((m + k + 1, m + k + 1))
+            kkt[:m, :m] = h_red
+            kkt[:m, m:-1] = g_red[tie].T
+            kkt[m:-1, :m] = g_red[tie]
+            kkt[m:-1, -1] = -1.0
+            kkt[-1, m:-1] = 1.0
+            rhs = np.concatenate([np.zeros(m), -offset[tie], [1.0]])
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            d, mu, z = sol[:m], sol[m:-1], sol[-1]
+            # the ties hold to rounding, which grows with the step
+            rise = (offset + g_red @ d - z) / (1.0 + np.abs(g_red @ d).max())
+            violation = max(-mu.min(), rise.max())
+            key = (violation if violation > TIE_TOL else 0.0, z + 0.5 * d @ h_red @ d)
+            if best_key is None or key < best_key:
+                weights = np.zeros(len(values))
+                weights[live[tie]] = np.clip(mu, 0.0, None) / np.clip(mu, 0.0, None).sum()
+                best, best_key = (basis @ d, weights), key
+    return best
+
+
+def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
+    """Newton steps on the simplex from ``s``, stopped by the Frank-Wolfe gap.
+
+    The objective f = max_b f_b is convex on the simplex and degree-1
+    homogeneous, so g_b . s = f_b and, for any weights lam on the blocks,
+    f* >= min_i (sum_b lam_b g_b)_i: the gap f - min_i(...) bounds f - f*.
+    Each step builds every block's Hessian from gradient differences along
+    e_k (one batched eigen loop), for the coordinates that are positive or
+    may enter: a move toward e_k lowers a block within the gap of the max.
+    An entering coordinate the step would push negative leaves that set.
+    ``_newton_step`` then minimizes the max of the blocks' quadratic models,
+    so it follows a kink where blocks tie.  A step that would cross a face
+    stops on it, and a backtracking line search keeps f decreasing.  The
+    search stops when the gap is below GAP_TOL, or when no step can lower f
+    by more than the eigenvalue brackets' noise; there one more step is
+    taken only while it halves the gap without raising f past the noise.
+    Every power iteration starts from the eigenvectors at the current point.
+    Returns the minimum, its point, the number of points evaluated and the gap.
     """
     p = period.period
-    denom = _scan_denominator(p)
-    points = np.array(list(_simplex_grid(p, denom)))
+    evaluated = 1
+    (values,), (grads,), (noise,), warm = _gradients(blocks, period, s[None], warm, eigen_tol)
+    lam = (values == values.max()).astype(float)
+    lam /= lam.sum()
+    while True:
+        f = values.max()
+        gap = f - (lam @ grads).min()
+        if gap <= GAP_TOL:
+            break
+        face = s > 0
+        pivot = int(np.argmax(s))
+        # a coordinate enters where a first-order move toward e_k lowers a
+        # block that could be the max at the minimum (f_b >= f - gap)
+        near = values >= f - gap
+        enter = ~face & (grads[near] < values[near, None]).any(axis=0)
+        cols = np.flatnonzero((face | enter) & (np.arange(p) != pivot))
+        # g is degree-0 homogeneous: g(s + h e_k) is g at that point normalized
+        shifted = (s + FD_STEP * np.eye(p)[cols]) / (1.0 + FD_STEP)
+        _, fd_grads, _, _ = _gradients(blocks, period, shifted, warm, eigen_tol)
+        evaluated += len(cols)
+        hess = np.zeros((len(blocks), p, p))
+        hess[:, :, cols] = np.moveaxis(fd_grads - grads, 0, -1) / FD_STEP
+        # H s = 0 gives the pivot's column from the face's others
+        others = face & (np.arange(p) != pivot)
+        hess[:, :, pivot] = -(hess[:, :, others] @ s[others]) / s[pivot]
+        while True:
+            step, lam = _newton_step(hess, values, grads, lam, cols, pivot)
+            stuck = enter[cols] & (step[cols] < 0)
+            if not stuck.any():
+                break
+            cols = cols[~stuck]
+        gap = min(gap, f - (lam @ grads).min())
+        if gap <= GAP_TOL or not len(cols):
+            break
+        live = values > -np.inf
+        shrink = step < 0
+        t_face = (s[shrink] / -step[shrink]).min(initial=np.inf)
+        t = first = min(1.0, t_face)
+        while True:
+            # the change the blocks' linear models predict at t (<= 0 on descent)
+            model = (values - f + t * grads @ step)[live].max()
+            if model > 0 and t * np.abs(step).max() > np.finfo(float).eps:
+                t *= 0.5  # another block's rise outruns the step here: shorten it
+                continue
+            if -model <= noise and t < first:
+                accept = False
+                break
+            x = s + t * step
+            if t == t_face:  # land exactly on the face
+                x[shrink & (s <= -t * step)] = 0.0
+            x = np.clip(x, 0.0, None)
+            x /= x.sum()
+            (new_values,), (new_grads,), (new_noise,), new_warm = _gradients(
+                blocks, period, x[None], warm, eigen_tol
+            )
+            evaluated += 1
+            new_f = new_values.max()
+            if -model <= noise:
+                # below the noise: keep the step only for a gap it halves
+                accept = new_f <= f + noise and new_f - (lam @ new_grads).min() < 0.5 * gap
+                break
+            if new_f <= f + ARMIJO * model:
+                accept = True
+                break
+            t *= 0.5
+        if not accept:
+            break
+        s, values, grads, noise, warm = x, new_values, new_grads, new_noise, new_warm
+    return float(values.max()), s, evaluated, float(max(gap, 0.0))
+
+
+def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
+    """Minimize the objective over the simplex: lattice scan, then ``_refine``.
+
+    The scan covers the simplex lattice of ``_scan_denominator(p)``, one
+    batched eigen loop per block, and ``_refine`` starts at its best point
+    with that point's eigenvectors.  A point scores the largest objective
+    over the model's cyclic SCC blocks (one block when irreducible).  Power
+    iteration on a reducible closure whose blocks grow at the same rate
+    converges like 1/n (a Jordan block), while each block alone converges
+    geometrically.  Returns the minimum, its simplex point, the iteration
+    count (lattice points plus objective-and-gradient evaluations), the
+    Frank-Wolfe gap there, and the lattice points with their objective values.
+    """
+    p = period.period
+    points = np.array(list(_simplex_grid(p, _scan_denominator(p))))
     blocks = _cyclic_blocks(model)
     values, pairs = _objective(blocks, period, points, 0, eigen_tol, [None] * len(blocks))
+    values = values.max(axis=0)
     best = int(np.argmin(values))
     warm = [row[best].eigvec for row in pairs]
-    pivot = int(np.argmax(points[best]))
-    free = np.arange(p) != pivot
-
-    def to_simplex(u: np.ndarray) -> np.ndarray:
-        w = np.ones(p)
-        w[free] = u * u
-        return w / w.sum()
-
-    def refine(u: np.ndarray) -> float:
-        value, pairs = _objective(blocks, period, [to_simplex(u)], 0, eigen_tol, warm)
-        warm[:] = [row[0].eigvec for row in pairs]
-        return float(value[0])
-
-    u0 = np.sqrt(points[best][free] / points[best][pivot])
-    result = minimize(
-        refine,
-        u0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": np.vstack([u0, u0 + np.eye(p - 1) / denom]),
-            "xatol": NM_XTOL,
-            "fatol": NM_FTOL,
-            "maxiter": 2000,
-        },
-    )
-    evals = len(points) + result.nfev
-    return float(result.fun), to_simplex(result.x), evals, (points, values)
+    dim, s, evaluated, gap = _refine(blocks, period, points[best], warm, eigen_tol)
+    return dim, s, len(points) + evaluated, gap, (points, values)
 
 
 def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
@@ -255,12 +441,12 @@ def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
     if period is not None and period.period > 1:
         return _search(model, period, eigen_tol)
     value = linear_spectral_radius(model.adjacency.T.astype(float))
-    return value, np.array([1.0]), 0, (np.array([[1.0]]), np.array([value]))
+    return value, np.array([1.0]), 0, 0.0, (np.array([[1.0]]), np.array([value]))
 
 
 def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int, h_top: float):
     """The report of a ``_bound`` result on ``model``."""
-    dim, s, evals, (grid_s, grid_values) = bound
+    dim, s, evals, gap, (grid_s, grid_values) = bound
     return DimensionReport(
         dim=float(dim),
         argmin_r=simplex_to_ratios(s, model.arity, len(s)).r,
@@ -270,6 +456,7 @@ def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int, h_
         log_rho_linear=linear_spectral_radius(model.adjacency.T.astype(float)),
         method=method,
         iterations=evals,
+        gap=float(gap),
         a0=int(a0),
         period=len(s),
         grid_s=grid_s,
@@ -289,7 +476,7 @@ def hausdorff_dimension(
     eigen_tol: float = EIGEN_TOL,
     entropy_n: int = 40,
 ) -> DimensionReport:
-    """Exact dimension for irreducible models: lattice scan + Nelder-Mead refine."""
+    """Exact dimension for irreducible models: lattice scan, then gap-stopped Newton steps."""
     check_tolerance("eigen tolerance", eigen_tol)
     if not is_irreducible(model):
         raise ModelValidationError(
@@ -298,7 +485,7 @@ def hausdorff_dimension(
     if period is None:
         period = find_a0_and_period(model)
     h_top = entropy_iterate(model, entropy_n).h_top
-    bound = dim, s_star, _, _ = _bound(model, period, eigen_tol)
+    bound = dim, s_star, _, _, _ = _bound(model, period, eigen_tol)
     # the objective on every cone at the argmin; the linear bound is its own one value
     class_values = (dim,) if period.period == 1 else tuple(
         dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
@@ -341,8 +528,8 @@ def general_upper_bound(
         except ClassInconsistency:
             sub_period = None
         bounds.append((_bound(sub, sub_period, eigen_tol), a))
-    (value, s_arg, _, scan), a = max(bounds, key=lambda item: item[0][0])
-    bound = (value, s_arg, sum(b[2] for b, _ in bounds), scan)
+    (value, s_arg, _, gap, scan), a = max(bounds, key=lambda item: item[0][0])
+    bound = (value, s_arg, sum(b[2] for b, _ in bounds), gap, scan)
     return _report(model, bound, (float(value),), "upper_bound_general", a, h_top)
 
 

@@ -20,7 +20,6 @@ from math import floor, inf, isfinite, log, nan
 from typing import Callable
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
 from .errors import ModelParseError, ModelValidationError, SupportViolation
@@ -228,6 +227,60 @@ def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[
     return ends[0], ends[1]
 
 
+def _chandrupatla(evaluate, target: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Roots of V'(mu) = target, one per row, by Chandrupatla's bracketed method.
+
+    ``lo`` and ``hi`` are [3, K] stacks (mu, V, V') at the bracket ends, with
+    V' below the target at ``lo`` and above it at ``hi``; ``evaluate`` maps
+    an array of mu to its stack.  Each step is one call over the rows still
+    open: inverse quadratic interpolation through the last three points
+    where Chandrupatla's test admits it, bisection elsewhere, the new point
+    kept at least half the tolerance from the ends.  A row stops once its
+    bracket is narrower than ``ROOT_XTOL`` (read at call time) or an end
+    hits the root exactly.  Returns the root (the end whose V' is nearer the
+    target) and the final bracket as two [3, K] stacks, left end first.
+    Reference: Chandrupatla, Adv. Eng. Software 28 (1997).
+    """
+    root = np.empty(target.size)
+    left, right = lo.copy(), hi.copy()
+    rows = np.arange(target.size)
+    e1, e2, e3, t = lo, hi, None, 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            f1, f2 = e1[2] - target[rows], e2[2] - target[rows]
+            width = np.abs(e2[0] - e1[0])
+            stop = (np.minimum(abs(f1), abs(f2)) <= np.finfo(float).tiny) | (width < ROOT_XTOL)
+            stop |= np.isnan(f1) & np.isnan(f2)
+            if stop.any():
+                done = rows[stop]
+                root[done] = np.where(abs(f1) < abs(f2), e1[0], e2[0])[stop]
+                first = (e1[0] < e2[0])[stop]
+                left[:, done] = np.where(first, e1[:, stop], e2[:, stop])
+                right[:, done] = np.where(first, e2[:, stop], e1[:, stop])
+                keep = ~stop
+                if not keep.any():
+                    return root, left, right
+                rows, e1, e2, f1, f2, width = (
+                    rows[keep], e1[:, keep], e2[:, keep], f1[keep], f2[keep], width[keep]
+                )
+                if e3 is not None:
+                    e3 = e3[:, keep]
+            if e3 is not None:
+                f3 = e3[2] - target[rows]
+                xi = (e1[0] - e2[0]) / (e3[0] - e2[0])
+                phi = (f1 - f2) / (f3 - f2)
+                a = (e3[0] - e1[0]) / (e2[0] - e1[0])
+                quad = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - a * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                edge = 0.5 * ROOT_XTOL / width
+                t = np.clip(t, edge, 1 - edge)
+            mu = e1[0] + t * (e2[0] - e1[0])
+            new = evaluate(mu)
+            same = np.sign(new[2] - target[rows]) == np.sign(f1)
+            e1, e2, e3 = new, np.where(same, e2, e1), np.where(same, e1, e2)
+
+
 def _legendre(
     alpha, value_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: float, hi: float,
@@ -235,23 +288,20 @@ def _legendre(
     """sup_mu (mu alpha - V(mu)) over a batch of alphas, V convex with slopes spanning [lo, hi].
 
     ``value_and_slope`` maps an array of mu to the arrays V(mu) and V'(mu),
-    row by row; it is called once per distinct mu.  Returns the arrays
+    row by row; each call sees every distinct mu once.  Returns the arrays
     (value, maximizing mu): (+inf, nan) outside the domain widened by
     BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha.
     Each root is bracketed by doubling from +-1 up to 2^MAX_DOUBLINGS, one
-    call per round for the rows still expanding; then one call of
-    Chandrupatla's method solves every bracket at once.  At an edge of the
-    domain the root lies at infinity, and the cap stands in for it.
+    call per round for the rows still expanding; then ``_chandrupatla``
+    solves every bracket at once.  At an edge of the domain the root lies at
+    infinity, and the cap stands in for it.  Every point is evaluated once:
+    the brackets carry (mu, V, V') at their ends.
     """
-    known: dict[float, tuple[float, float]] = {}
-
     def evaluate(mu: np.ndarray) -> np.ndarray:
-        # find_root evaluates its bracket ends again, and the readout needs
-        # the final ends' values: both were seen before
-        new = np.unique([m for m in mu.tolist() if m not in known])
-        if new.size:
-            known.update(zip(new.tolist(), zip(*value_and_slope(new))))
-        return np.array([known[m] for m in mu.tolist()]).reshape(-1, 2).T
+        # rows that share a mu (every bracket starts at +-1 and doubles) share one row
+        distinct, inverse = np.unique(mu, return_inverse=True)
+        value, slope = value_and_slope(distinct)
+        return np.vstack([mu, value[inverse], slope[inverse]])
 
     alpha = np.asarray(alpha, dtype=float)
     value = np.full(alpha.shape, inf)
@@ -261,38 +311,32 @@ def _legendre(
         return value, argmax
     target = alpha[inside]
     cap = 2.0**MAX_DOUBLINGS
-    a, b = np.full(target.size, -1.0), np.ones(target.size)
-    slope = evaluate(np.concatenate([a, b]))[1]
-    fa, fb = slope[: target.size] - target, slope[target.size:] - target
+    # [3, K] stacks (mu, V, V') at the bracket ends
+    a, b = np.split(evaluate(np.concatenate([-np.ones(target.size), np.ones(target.size)])), 2, axis=1)
     while True:
-        left = (fa > 0) & (a > -cap)
-        right = (fb < 0) & (b < cap) & ~left
+        left = (a[2] > target) & (a[0] > -cap)
+        right = (b[2] < target) & (b[0] < cap) & ~left
         if not (left.any() or right.any()):
             break
-        b[left], fb[left] = a[left], fa[left]
-        a[left] *= 2.0
-        a[right], fa[right] = b[right], fb[right]
-        b[right] *= 2.0
-        slope = evaluate(np.concatenate([a[left], b[right]]))[1]
+        b[:, left] = a[:, left]
+        a[:, right] = b[:, right]
+        ends = evaluate(np.concatenate([2.0 * b[0, left], 2.0 * a[0, right]]))
         split = np.count_nonzero(left)
-        fa[left] = slope[:split] - target[left]
-        fb[right] = slope[split:] - target[right]
-    mu = np.where(fa >= 0, a, b)  # a root at the bracket's end, or beyond the cap
-    xl, xr = mu.copy(), mu.copy()
-    solve = (fa < 0) & (fb > 0)
+        a[:, left], b[:, right] = ends[:, :split], ends[:, split:]
+    # a root at the bracket's end, or beyond the cap
+    xl = np.where(a[2] >= target, a, b)
+    xr, mu = xl.copy(), xl[0].copy()
+    solve = (a[2] < target) & (b[2] > target)
     if solve.any():
-        res = find_root(
-            lambda m, t: evaluate(m)[1] - t, (a[solve], b[solve]), args=(target[solve],),
-            tolerances=dict(xatol=ROOT_XTOL, xrtol=0.0),
+        mu[solve], xl[:, solve], xr[:, solve] = _chandrupatla(
+            evaluate, target[solve], a[:, solve], b[:, solve]
         )
-        mu[solve] = res.x
-        xl[solve], xr[solve] = res.bracket
     # the value is mu alpha minus the larger of the two tangent lines at the
     # final bracket's ends, read where they cross; this interpolates the dual
     # between the end slopes g, where it is g mu - V(mu).  It is exact at a
     # kink of V and second order in the bracket width elsewhere; a row with
     # no bracket (xl = xr) reads its point
-    (vl, vr), (gl, gr) = (np.split(out, 2) for out in evaluate(np.concatenate([xl, xr])))
+    (xl, vl, gl), (xr, vr, gr) = xl, xr
     up, down = target - gl, gr - target
     with np.errstate(invalid="ignore"):
         crossing = (down * (gl * xl - vl) + up * (gr * xr - vr)) / (up + down)

@@ -173,11 +173,20 @@ class TestDimension:
         payload = run_json(["dimension", write_model(FACE_OPTIMUM)])
         assert payload["period"] == 3
         assert payload["dim"] < 0.3289407 - 1e-6
+        assert payload["dim"] <= 0.32893827510588425 + 1e-12
+        assert payload["argmin_s"][1] == 0.0
+        assert 0.0 <= payload["gap"] <= 1e-10
 
     def test_layered_period16(self, write_model):
         payload = run_json(["dimension", write_model(_layered(16))])
         assert payload["period"] == 16
         assert payload["dim"] <= payload["log_rho_linear"] + 1e-9
+        # the scan's vertex e_15 is optimal: one gradient confirms it
+        assert payload["iterations"] == 17
+        assert payload["argmin_s"][15] == 1.0 and payload["gap"] == 0.0
+
+    def test_gap_zero_without_search(self, write_model):
+        assert run_json(["dimension", write_model(FULL2)])["gap"] == 0.0
 
     def test_equal_rate_cycles(self, write_model):
         payload = run_json(["dimension", write_model(EQUAL_RATE_CYCLES)])
@@ -352,6 +361,16 @@ class TestExitCodes:
         assert record["exit_code"] == 3
         assert record["error"] == "ModelValidationError"
 
+    def test_import_does_not_load_scipy(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, treeshift.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_installed_entry_point(self, write_model):
         result = subprocess.run(
             [sys.executable, "-m", "treeshift.cli", "analyze", write_model(FULL2)],
@@ -389,7 +408,7 @@ class TestErrorRecord:
         assert lo <= best["log_rho"] <= hi
 
     def test_certificate_miss(self, write_model):
-        # the face optimum certifies to about 3e-9, not to 1e-12
+        # the face optimum certifies to about 4e-12, not to 1e-12
         code, record = _error_record(["measure", write_model(FACE_OPTIMUM), "--tol", "1e-12"])
         assert code == record["exit_code"] == 4
         assert record["error"] == "ValidationFailed"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from treeshift import (
     DimensionReport,
@@ -17,11 +18,67 @@ from treeshift import (
     simplex_to_ratios,
     spectral_bound_report,
 )
-from treeshift.dimension import _search
+from treeshift.dimension import (
+    _cyclic_blocks,
+    _gradients,
+    _objective,
+    _scan_denominator,
+    _search,
+    _simplex_grid,
+)
 from treeshift.errors import ModelValidationError, ValidationFailed
 from treeshift.transfer_op import EIGEN_TOL
 
 from conftest import make_model, periodic_model, periodic_models
+
+
+def nelder_mead_search(model, period, eigen_tol=EIGEN_TOL):
+    """The search the gradient solver replaced: the same lattice scan, then
+    Nelder-Mead over s = w / sum(w), w = 1 at the best lattice point's largest
+    coordinate (the pivot) and w_i = u_i^2 elsewhere.  Returns the minimum
+    and its point."""
+    p = period.period
+    denom = _scan_denominator(p)
+    points = np.array(list(_simplex_grid(p, denom)))
+    blocks = _cyclic_blocks(model)
+    values, pairs = _objective(blocks, period, points, 0, eigen_tol, [None] * len(blocks))
+    best = int(np.argmin(values.max(axis=0)))
+    warm = [row[best].eigvec for row in pairs]
+    pivot = int(np.argmax(points[best]))
+    free = np.arange(p) != pivot
+
+    def to_simplex(u):
+        w = np.ones(p)
+        w[free] = u * u
+        return w / w.sum()
+
+    def refine(u):
+        value, pairs = _objective(blocks, period, [to_simplex(u)], 0, eigen_tol, warm)
+        warm[:] = [row[0].eigvec for row in pairs]
+        return float(value.max(axis=0)[0])
+
+    u0 = np.sqrt(points[best][free] / points[best][pivot])
+    result = minimize(
+        refine, u0, method="Nelder-Mead",
+        options={"initial_simplex": np.vstack([u0, u0 + np.eye(p - 1) / denom]),
+                 "xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
+    )
+    return float(result.fun), to_simplex(result.x)
+
+
+def two_block_closure(seed, p, d):
+    """Two random period-p blocks (``periodic_model``, at most 6 symbols each)
+    and one edge from symbol 0 into the second block's class 1: the closure
+    of symbol 0 is reducible, with two cyclic blocks."""
+    first, _ = periodic_model(seed, p, d, max_symbols=6)
+    second, period2 = periodic_model(seed + 7919, p, d, max_symbols=6)
+    n1 = first.n_symbols
+    adj = np.zeros((n1 + second.n_symbols,) * 2, dtype=int)
+    adj[:n1, :n1] = first.adjacency
+    adj[n1:, n1:] = second.adjacency
+    adj[n1 + min(period2.classes[1 % p]), 0] = 1
+    model = make_model(adj.tolist(), d=d)
+    return model, find_a0_and_period(model, a0=0)
 
 
 class TestBijection:
@@ -160,13 +217,58 @@ class TestConvexSearch:
                 assert dim_objective(model, period, moved) >= report.dim - 1e-10
 
 
+class TestGradientSearch:
+    def test_nine(self, nine):
+        # 45 lattice points, then at most 30 objective-and-gradient evaluations
+        report = hausdorff_dimension(nine)
+        assert report.iterations <= 75
+        assert len(report.grid_s) == 45
+        assert report.dim == pytest.approx(0.3027001740055876, abs=1e-10)
+        assert 0.0 <= report.gap <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_matches_central_difference(self, seed, p, d):
+        # f extends to the positive orthant with degree 1: g . s = f, and
+        # g_k is the derivative of f((s + h e_k) / (1 + h)) (1 + h) at h = 0
+        model, period = periodic_model(seed, p, d)
+        s = np.random.default_rng(seed).dirichlet(np.ones(p))
+        values, grads, _, _ = _gradients([model], period, s[None], [None], EIGEN_TOL)
+        f, g = values[0, 0], grads[0, 0]
+        assert g @ s == pytest.approx(f, abs=1e-10)
+        h = 1e-5
+        for k in range(p):
+            up = dim_objective(model, period, (s + h * np.eye(p)[k]) / (1 + h)) * (1 + h)
+            down = dim_objective(model, period, (s - h * np.eye(p)[k]) / (1 - h)) * (1 - h)
+            assert g[k] == pytest.approx((up - down) / (2 * h), abs=1e-6)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_never_above_nelder_mead_irreducible(self, seed, p, d):
+        model, period = periodic_model(seed, p, d)
+        dim, s, _, gap, _ = _search(model, period, EIGEN_TOL)
+        assert dim <= nelder_mead_search(model, period)[0] + 1e-10
+        # the value at the returned point, up to the eigenvalue bracket
+        assert dim == pytest.approx(dim_objective(model, period, s), abs=1e-11)
+        assert gap >= 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_never_above_nelder_mead_two_blocks(self, seed, p, d):
+        model, period = two_block_closure(seed, p, d)
+        assert len(_cyclic_blocks(model)) == 2
+        dim, _, _, gap, _ = _search(model, period, EIGEN_TOL)
+        assert dim <= nelder_mead_search(model, period)[0] + 1e-10
+        assert gap >= 0.0
+
+
 class TestScan:
     @given(periodic_models)
     @settings(max_examples=25, deadline=None)
     def test_scan_values_equal_dim_objective(self, args):
         # the batched lattice scan scores each point as a lone call would, bit for bit
         model, period = periodic_model(*args, max_symbols=6)
-        _, _, _, (points, values) = _search(model, period, EIGEN_TOL)
+        points, values = _search(model, period, EIGEN_TOL)[-1]
         for s, value in zip(points, values):
             assert value == dim_objective(model, period, s)
 

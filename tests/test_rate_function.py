@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
 from treeshift import (
     chain_from_matrices,
@@ -21,9 +22,13 @@ from treeshift import rate_function
 from treeshift.errors import ModelValidationError, SupportViolation
 from treeshift.oracle import finite_rate
 from treeshift.rate_function import (
+    BOUNDARY_SLACK,
     MAX_DOUBLINGS,
     PRESSURE_TOL,
+    ROOT_XTOL,
     _dual_rows,
+    _legendre,
+    _pressure_rows,
     _tilted_recursion,
     parse_weighted,
     stationary_class_vector,
@@ -211,6 +216,80 @@ def random_weighted_chain(seed: int):
     m /= m.sum(axis=0, keepdims=True)
     w = np.where(adj == 1, np.exp(rng.normal(size=(n, n))), 0.0)
     return chain_from_matrices(m, w, d=int(rng.integers(2, 4)))
+
+
+def legendre_find_root(alpha, value_and_slope, lo, hi):
+    """``_legendre`` as it ran on scipy: the same doubling brackets, then
+    ``find_root`` (Chandrupatla, xatol = ROOT_XTOL, xrtol = 0) on all of them,
+    with a memo of the slopes seen, and the same tangent-line readout."""
+    known = {}
+
+    def evaluate(mu):
+        new = np.unique([m for m in mu.tolist() if m not in known])
+        if new.size:
+            known.update(zip(new.tolist(), zip(*value_and_slope(new))))
+        return np.array([known[m] for m in mu.tolist()]).reshape(-1, 2).T
+
+    alpha = np.asarray(alpha, dtype=float)
+    value, argmax = np.full(alpha.shape, inf), np.full(alpha.shape, np.nan)
+    inside = (lo - BOUNDARY_SLACK <= alpha) & (alpha <= hi + BOUNDARY_SLACK)
+    target = alpha[inside]
+    cap = 2.0**MAX_DOUBLINGS
+    a, b = np.full(target.size, -1.0), np.ones(target.size)
+    slope = evaluate(np.concatenate([a, b]))[1]
+    fa, fb = slope[: target.size] - target, slope[target.size:] - target
+    while True:
+        left = (fa > 0) & (a > -cap)
+        right = (fb < 0) & (b < cap) & ~left
+        if not (left.any() or right.any()):
+            break
+        b[left], fb[left] = a[left], fa[left]
+        a[left] *= 2.0
+        a[right], fa[right] = b[right], fb[right]
+        b[right] *= 2.0
+        slope = evaluate(np.concatenate([a[left], b[right]]))[1]
+        split = np.count_nonzero(left)
+        fa[left] = slope[:split] - target[left]
+        fb[right] = slope[split:] - target[right]
+    mu = np.where(fa >= 0, a, b)
+    xl, xr = mu.copy(), mu.copy()
+    solve = (fa < 0) & (fb > 0)
+    if solve.any():
+        res = find_root(
+            lambda m, t: evaluate(m)[1] - t, (a[solve], b[solve]), args=(target[solve],),
+            tolerances=dict(xatol=ROOT_XTOL, xrtol=0.0),
+        )
+        mu[solve] = res.x
+        xl[solve], xr[solve] = res.bracket
+    (vl, vr), (gl, gr) = (np.split(out, 2) for out in evaluate(np.concatenate([xl, xr])))
+    up, down = target - gl, gr - target
+    with np.errstate(invalid="ignore"):
+        crossing = (down * (gl * xl - vl) + up * (gr * xr - vr)) / (up + down)
+    value[inside] = np.where(up + down > 0, crossing, xl * target - vl)
+    argmax[inside] = mu
+    return value, argmax
+
+
+class TestRootSolve:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_find_root(self, seed, class_index):
+        # rate_curve's grid and brackets, solved by the numpy port and by scipy
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        j = class_index % period.period
+        ends = domain_endpoints(chain, j, period)
+        alphas = rate_curve(chain, j, n_points=15, period=period).alphas
+
+        def value_and_slope(mu):
+            return _pressure_rows(chain, mu, j, period, PRESSURE_TOL)[:2]
+
+        value, mu = _legendre(alphas, value_and_slope, *ends)
+        ref_value, ref_mu = legendre_find_root(alphas, value_and_slope, *ends)
+        finite = np.isfinite(ref_value)
+        assert np.array_equal(np.isfinite(value), finite)
+        assert np.abs(mu[finite] - ref_mu[finite]).max(initial=0.0) <= ROOT_XTOL
+        assert np.abs(value[finite] - ref_value[finite]).max(initial=0.0) <= 1e-12
 
 
 class TestExactDual:

@@ -20,7 +20,7 @@ from treeshift import (
 )
 from treeshift.errors import ModelValidationError, TooLarge
 from treeshift.oracle import exact_mean_distribution
-from treeshift.stochastic import _edge_counts, _next_level, running_means
+from treeshift.stochastic import _edge_counts, _level_stream, _next_level, running_means
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,29 @@ class TestSampleTree:
         early = np.abs(pair.trans[3] - example1.M).max()
         late = np.abs(pair.trans[13] - example1.M).max()
         assert late < early
+
+
+class TestLevelStream:
+    @pytest.mark.parametrize("seed, trial, level", [
+        (0, 0, 0), (7, 19, 11), (2**63, 3, 0), (2**64 - 1, 2**20, 12), (2**63 + 5, 0, 62),
+    ])
+    def test_rekeyed_generator_draws_as_fresh_philox(self, seed, trial, level):
+        key = np.array([seed, (trial << 32) | level], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        used = _level_stream(seed + 1, trial + 1, level + 1)
+        # a part-used counter and buffer, and a held 32-bit half
+        used.random(3)
+        used.multinomial(40, [0.5, 0.5])
+        used.random(dtype=np.float32)
+        rekeyed = _level_stream(seed, trial, level, used)
+        assert rekeyed is used
+
+        def draws(rng):
+            return (rng.random(3, dtype=np.float32), rng.random(7),
+                    rng.multinomial(1000, [0.1, 0.2, 0.7]), rng.multinomial(3, [0.5, 0.5]))
+
+        for a, b in zip(draws(fresh), draws(rekeyed)):
+            assert np.array_equal(a, b)
 
 
 MEAN_TOL = 1e-12
