@@ -13,7 +13,6 @@ from .alphabet_graph import (
     find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
-    load_model,
     model_from_dict,
     reachability,
     reduce_a0,
@@ -28,7 +27,6 @@ from .dimension import (
     optimal_markov_measure,
     ratios_to_simplex,
     simplex_to_ratios,
-    spectral_bound_report,
 )
 from .rate_function import (
     PressureResult,
@@ -50,7 +48,6 @@ from .stochastic import (
     SampleConfig,
     lln_experiment,
     sample_tree,
-    tail_estimate,
 )
 from .transfer_op import (
     EigenPair,

@@ -15,7 +15,6 @@ descendant chains from ``b`` down to ``a``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import log
 from typing import Sequence
@@ -137,15 +136,6 @@ def model_from_dict(data: dict, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Adjac
         if not isinstance(row, list) or len(row) != n:
             raise ModelValidationError(f"adjacency row {i} must have {n} entries", row=i)
     return AdjacencyModel(tuple(symbols), np.array(rows), d)
-
-
-def load_model(path) -> AdjacencyModel:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(data)
 
 
 def _reach(adjacency: np.ndarray) -> np.ndarray:

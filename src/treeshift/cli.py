@@ -210,22 +210,20 @@ def analyze(model_file):
 @click.argument("model_file", type=click.Path(exists=True))
 @click.option("--eigen-tol", default=1e-11, show_default=True,
               help="Collatz-Wielandt bracket width for eigenpairs.")
-@click.option("--entropy-n", default=40, show_default=True,
-              help="Depth for the topological-entropy recursion.")
 @click.option("--scan-csv", type=click.Path(), default=None,
               help="Also write the objective over the search's starting s-lattice "
                    "(at most 51 points) to this CSV (for an upper bound: the "
                    "lattice of the closure that sets it).")
-def dimension(model_file, eigen_tol, entropy_n, scan_csv):
+def dimension(model_file, eigen_tol, scan_csv):
     """Hausdorff dimension (exact when irreducible, upper bound otherwise)."""
     started = time.perf_counter()
 
     def go():
         digest, _, _, reduced = _load(model_file)
         if is_irreducible(reduced):
-            report = hausdorff_dimension(reduced, eigen_tol=eigen_tol, entropy_n=entropy_n)
+            report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
         else:
-            report = general_upper_bound(reduced, eigen_tol=eigen_tol, entropy_n=entropy_n)
+            report = general_upper_bound(reduced, eigen_tol=eigen_tol)
         if scan_csv:
             _write_scan_csv(scan_csv, report)
         col_sums = reduced.adjacency.sum(axis=0)
@@ -243,9 +241,7 @@ def dimension(model_file, eigen_tol, entropy_n, scan_csv):
             "period": report.period,
             "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
         }
-        _emit(payload, "dimension", digest,
-              {"eigen_tol": eigen_tol, "entropy_n": entropy_n},
-              started)
+        _emit(payload, "dimension", digest, {"eigen_tol": eigen_tol}, started)
 
     _run(go)
 
@@ -400,20 +396,20 @@ def oracle(model_file, depth, root, class_guard, csv_path):
 
 @main.command()
 @click.argument("model_file", type=click.Path(exists=True))
-@click.option("--n-max", default=40, show_default=True)
-def entropy(model_file, n_max):
-    """Topological-entropy recursion and its extrapolated limit."""
+def entropy(model_file):
+    """Topological-entropy recursion to its certified depth, with its error bound."""
     started = time.perf_counter()
 
     def go():
         digest, _, _, reduced = _load(model_file)
-        seq = entropy_iterate(reduced, n_max)
+        seq = entropy_iterate(reduced)
         payload = {
             "depths": list(seq.depths),
             "values": list(seq.values),
             "h_top": seq.h_top,
+            "error_bound": seq.error_bound,
         }
-        _emit(payload, "entropy", digest, {"n_max": n_max}, started)
+        _emit(payload, "entropy", digest, {}, started)
 
     _run(go)
 

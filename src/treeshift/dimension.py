@@ -444,15 +444,15 @@ def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
     return value, np.array([1.0]), 0, 0.0, (np.array([[1.0]]), np.array([value]))
 
 
-def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int, h_top: float):
-    """The report of a ``_bound`` result on ``model``."""
+def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int):
+    """The report of a ``_bound`` result on ``model``, with the entropy of ``model``."""
     dim, s, evals, gap, (grid_s, grid_values) = bound
     return DimensionReport(
         dim=float(dim),
         argmin_r=simplex_to_ratios(s, model.arity, len(s)).r,
         argmin_s=np.asarray(s, dtype=float),
         class_values=class_values,
-        h_top=h_top,
+        h_top=entropy_iterate(model).h_top,
         log_rho_linear=linear_spectral_radius(model.adjacency.T.astype(float)),
         method=method,
         iterations=evals,
@@ -474,7 +474,6 @@ def hausdorff_dimension(
     model: AdjacencyModel,
     period: PeriodStructure | None = None,
     eigen_tol: float = EIGEN_TOL,
-    entropy_n: int = 40,
 ) -> DimensionReport:
     """Exact dimension for irreducible models: lattice scan, then gap-stopped Newton steps."""
     check_tolerance("eigen tolerance", eigen_tol)
@@ -484,19 +483,17 @@ def hausdorff_dimension(
         )
     if period is None:
         period = find_a0_and_period(model)
-    h_top = entropy_iterate(model, entropy_n).h_top
     bound = dim, s_star, _, _, _ = _bound(model, period, eigen_tol)
     # the objective on every cone at the argmin; the linear bound is its own one value
     class_values = (dim,) if period.period == 1 else tuple(
         dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
     )
-    return _report(model, bound, class_values, "exact_irreducible", period.a0, h_top)
+    return _report(model, bound, class_values, "exact_irreducible", period.a0)
 
 
 def general_upper_bound(
     model: AdjacencyModel,
     eigen_tol: float = EIGEN_TOL,
-    entropy_n: int = 40,
 ) -> DimensionReport:
     """Upper bound for arbitrary (A0) models: max over recurrent closures.
 
@@ -515,7 +512,6 @@ def general_upper_bound(
         raise EmptyRecurrentSet(
             "no symbol lies on a cycle: the shift holds finitely many trees (dimension 0)"
         )
-    h_top = entropy_iterate(model, entropy_n).h_top
     bases: dict[frozenset, int] = {}  # each closure once, with its smallest base symbol
     for a in sorted(report.recurrent):
         bases.setdefault(report.closures[a], a)
@@ -530,45 +526,7 @@ def general_upper_bound(
         bounds.append((_bound(sub, sub_period, eigen_tol), a))
     (value, s_arg, _, gap, scan), a = max(bounds, key=lambda item: item[0][0])
     bound = (value, s_arg, sum(b[2] for b, _ in bounds), gap, scan)
-    return _report(model, bound, (float(value),), "upper_bound_general", a, h_top)
-
-
-@dataclass(frozen=True)
-class SpectralBoundReport:
-    dim: float
-    log_rho: float
-    h_top: float
-    bound_holds: bool
-    equality_predicate: bool
-    dim_equality_observed: bool
-    entropy_equality_observed: bool
-
-
-def spectral_bound_report(model: AdjacencyModel, tol: float = 1e-6) -> SpectralBoundReport:
-    """dim <= log rho(A), plus the constant-column-sum equality predicate.
-
-    Constant column sums characterize the collapse h_top = log rho (and then
-    everything collapses: dim = log rho = h_top).  They do NOT characterize
-    dim = log rho alone: any primitive matrix has dim = log rho by the p = 1
-    case of the dimension formula, whatever its column sums (golden mean:
-    dim = log rho = log phi < h_top).  The report carries both observed
-    equalities so callers can test the predicate against the right one.
-    """
-    model = reduce_a0(model)
-    # on an irreducible model this is the exact report, bar method and class values
-    rep = general_upper_bound(model)
-    log_rho = rep.log_rho_linear
-    col_sums = model.adjacency.sum(axis=0)
-    predicate = bool((col_sums == col_sums[0]).all())
-    return SpectralBoundReport(
-        dim=rep.dim,
-        log_rho=log_rho,
-        h_top=rep.h_top,
-        bound_holds=bool(rep.dim <= log_rho + 1e-9),
-        equality_predicate=predicate,
-        dim_equality_observed=bool(abs(rep.dim - log_rho) < tol),
-        entropy_equality_observed=bool(abs(rep.h_top - log_rho) < max(tol, 2e-3)),
-    )
+    return _report(model, bound, (float(value),), "upper_bound_general", a)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,6 @@ def enumerate_type_classes(
     n: int,
     root: int | None = None,
     class_guard: int = CLASS_GUARD,
-    exact: bool | None = None,
 ) -> list[TypeClass]:
     """Every integer count system consistent with depth n and the given root.
 
@@ -229,9 +228,7 @@ def enumerate_type_classes(
     elif not 0 <= root < n_sym:
         raise ModelValidationError(f"root {root} is not a symbol index below {n_sym}")
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
-    fractions = _exact_fractions(chain) if exact in (None, True) else None
-    if exact is True and fractions is None:
-        raise ValueError("exact probabilities requested but M is not exactly rational")
+    fractions = _exact_fractions(chain)
     log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0).tolist()
 
     @functools.cache

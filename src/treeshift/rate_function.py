@@ -16,17 +16,16 @@ congruent to j mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, inf, isfinite, log, nan
+from math import inf, isfinite, log, nan
 from typing import Callable
 
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
 from .errors import ModelParseError, ModelValidationError, SupportViolation
-from .transfer_op import log_weights, psi
+from .transfer_op import PRESSURE_TOL, _certified_depth, log_weights, psi
 
 STOCHASTIC_TOL = 1e-12
-PRESSURE_TOL = 1e-10
 MAX_DOUBLINGS = 40
 BOUNDARY_SLACK = 1e-7
 # the dual is read off the final root bracket: exact where the depth-n readout
@@ -163,12 +162,6 @@ def _recursion_constant(chain: WeightedChainModel) -> float:
     c_w = np.abs(np.log(chain.W[sup])).max(initial=0.0)
     c_m = np.abs(np.log(chain.M[sup])).max(initial=0.0)
     return max(c_w, c_m, log(chain.base.n_symbols))
-
-
-def _certified_depth(scale: float, d: int, tol: float) -> int:
-    """Smallest n >= 1 with the a-priori bound scale * d^(-n) below ``tol``."""
-    n = max(1, floor(log(scale / tol) / log(d)) + 1) if scale >= tol else 1
-    return n + int(scale * d ** (-n) >= tol)  # log rounding at an exact power of d
 
 
 def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):

@@ -26,6 +26,8 @@ from .tree_core import LabeledTree, TreeShape, lattice_size
 
 GENERATOR_NAME = "philox4x64"
 DEFAULT_SAMPLE_CAP = 2**25
+# standard errors a phase mean may lie from its limit and pass
+PASS_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,10 @@ class ExperimentReport:
     seed: int
 
 
-def _all_running_means(chain, config) -> np.ndarray:
-    return np.vstack([running_means(chain, config, t) for t in range(config.trials)])
-
-
 def lln_experiment(
     chain: WeightedChainModel,
     config: SampleConfig,
     period: PeriodStructure | None = None,
-    sigma: float = 3.0,
 ) -> ExperimentReport:
     """Compare sampled running means against the almost-sure phase limits.
 
@@ -209,7 +206,7 @@ def lln_experiment(
     p = period.period
     if config.depth < p:
         raise ModelValidationError(f"depth {config.depth} leaves a phase of period {p} unsampled")
-    depth_means = _all_running_means(chain, config)
+    depth_means = np.vstack([running_means(chain, config, t) for t in range(config.trials)])
     trial_means = depth_means[:, -1]
     emp = float(trial_means.mean())
     se = float(trial_means.std(ddof=1) / sqrt(config.trials)) if config.trials > 1 else 0.0
@@ -233,7 +230,7 @@ def lln_experiment(
         checks.append(
             PhaseCheck(
                 phase=j, depth=depth, target=target, empirical=c_emp,
-                stderr=c_se, z_score=float(z), passed=bool(abs(z) <= sigma),
+                stderr=c_se, z_score=float(z), passed=bool(abs(z) <= PASS_SIGMA),
             )
         )
     return ExperimentReport(
@@ -245,57 +242,4 @@ def lln_experiment(
         passed=all(c.passed for c in checks),
         generator=GENERATOR_NAME,
         seed=config.seed,
-    )
-
-
-@dataclass(frozen=True)
-class TailReport:
-    depths: tuple[int, ...]
-    frequency: tuple[float, ...]
-    log_rate: tuple[float, ...]       # (1/|Lambda(m)|) log freq, -inf when 0
-    wilson_low: tuple[float, ...]
-    wilson_high: tuple[float, ...]
-    interval: tuple[float, float]
-    trials: int
-
-
-def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
-    phat = successes / n
-    denom = 1.0 + z**2 / n
-    center = (phat + z**2 / (2 * n)) / denom
-    half = z * sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def tail_estimate(
-    chain: WeightedChainModel,
-    config: SampleConfig,
-    interval: tuple[float, float],
-    period: PeriodStructure | None = None,
-) -> TailReport:
-    """Naive frequency estimate of P(mean in S | root) per depth.
-
-    Validation-grade only: no importance sampling, so genuinely rare events
-    need exponentially many trials.  Wilson intervals quantify that honestly.
-    """
-    lo, hi = interval
-    depth_means = _all_running_means(chain, config)
-    d = chain.arity
-    depths, freqs, rates, wlo, whi = [], [], [], [], []
-    for m in range(1, config.depth + 1):
-        hits = int(((depth_means[:, m] >= lo) & (depth_means[:, m] <= hi)).sum())
-        freq = hits / config.trials
-        size = lattice_size(d, m)
-        depths.append(m)
-        freqs.append(freq)
-        rates.append(float(np.log(freq) / size) if freq > 0 else float("-inf"))
-        w = _wilson(hits, config.trials)
-        wlo.append(w[0])
-        whi.append(w[1])
-    return TailReport(
-        depths=tuple(depths), frequency=tuple(freqs), log_rate=tuple(rates),
-        wilson_low=tuple(wlo), wilson_high=tuple(whi),
-        interval=(lo, hi), trials=config.trials,
     )

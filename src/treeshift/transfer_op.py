@@ -22,17 +22,18 @@ single-row call.  Eigenvectors are plain log arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import floor, log
 
 import numpy as np
 
-from .alphabet_graph import AdjacencyModel, PeriodStructure
-from .errors import BadExponent, ModelValidationError, NoConvergence
+from .alphabet_graph import AdjacencyModel, PeriodStructure, _reach, _recurrent
+from .errors import BadExponent, EmptyModel, NoConvergence
 
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 10**4
 PRODUCT_TOL = 1e-12
-LOG_MAX_FLOAT = log(np.finfo(float).max)
+# the a-priori error every certified-depth readout of the recursion stays below
+PRESSURE_TOL = 1e-10
 
 
 def log_weights(w) -> np.ndarray:
@@ -239,47 +240,48 @@ def _eigen_rows(
     )
 
 
+def _certified_depth(scale: float, d: int, tol: float) -> int:
+    """Smallest n >= 1 with the a-priori bound scale * d^(-n) below ``tol``."""
+    n = max(1, floor(log(scale / tol) / log(d)) + 1) if scale >= tol else 1
+    return n + int(scale * d ** (-n) >= tol)  # log rounding at an exact power of d
+
+
 @dataclass(frozen=True)
 class EntropySequence:
-    """Normalized log block counts by depth and the extrapolated limit."""
+    """Normalized log block counts by depth, the limit and its a-priori error bound."""
 
     depths: tuple[int, ...]
     values: tuple[float, ...]
     h_top: float
+    error_bound: float
 
 
-def entropy_iterate(model: AdjacencyModel, n_max: int = 40) -> EntropySequence:
-    """Topological-entropy recursion log c_{k+1} = psi(A, d, log c_k).
+def entropy_iterate(model: AdjacencyModel) -> EntropySequence:
+    """Topological-entropy recursion log c_{k+1} = psi(A, d, log c_k), to a certified depth.
 
-    Emits log(sum_a c_k(a)) / |Lambda(k)| for k = 0..n_max and an Aitken
-    extrapolation of the last three terms as the limit estimate.
+    Emits log(sum_a c_k(a)) / |Lambda(k)| for k = 0..n on the model's core:
+    the symbols that a cycle reaches and that reach a cycle, so each has a
+    parent and a child in it.  The entropy is the pressure at mu = 0 with
+    unit weights, and on the core its a-priori bound is 2 log|A| d^(-n),
+    |A| the core's size; n is the first depth where that bound drops below
+    PRESSURE_TOL, and ``h_top`` is the value at n.  A symbol outside the
+    core leaves the limit unchanged, but a parentless root's count trails
+    its descendants' by up to |A| levels, an excess near d^|A| that the
+    bound does not cover.
     """
-    if n_max < 0:
-        raise ModelValidationError(f"entropy depth must be >= 0, got {n_max}")
+    reach = _reach(model.adjacency)
+    cycle = _recurrent(model.adjacency, reach)
+    core = np.flatnonzero(reach[:, cycle].any(axis=1) & reach[cycle].any(axis=0))
+    if core.size == 0:
+        raise EmptyModel("no symbol lies on a cycle: the shift holds no infinite tree")
     d = model.arity
-    # |Lambda(n)| < d^(n+1) / (d-1) and log c_n <= |Lambda(n)| log |A| must stay
-    # floats, with room to round
-    log_size = (n_max + 1) * log(d) - log(d - 1)
-    if log_size + log(max(log(model.n_symbols), 1.0)) > LOG_MAX_FLOAT - 1.0:
-        raise ModelValidationError(
-            f"entropy depth {n_max} leaves the float range: |Lambda({n_max})| is about "
-            f"e^{log_size:.0f}"
-        )
-    log_adj = log_weights(model.adjacency)
-    x = np.zeros(model.n_symbols)
-    depths = [0]
-    values = [logsumexp(x) / 1.0]
-    for k in range(1, n_max + 1):
+    scale = 2.0 * log(core.size)
+    n = _certified_depth(scale, d, PRESSURE_TOL)
+    log_adj = log_weights(model.adjacency[np.ix_(core, core)])
+    x = np.zeros(core.size)
+    values = [logsumexp(x)]
+    for k in range(1, n + 1):
         x = psi(log_adj, d, x)
         size = (d ** (k + 1) - 1.0) / (d - 1.0)  # float on purpose: huge at large k
-        depths.append(k)
         values.append(logsumexp(x) / size)
-    h = values[-1]
-    if len(values) >= 3:
-        e1, e2, e3 = values[-3], values[-2], values[-1]
-        denom = e2 - e1
-        if denom != 0.0:
-            q = (e3 - e2) / denom
-            if abs(q) < 1.0:
-                h = e3 + (e3 - e2) * q / (1.0 - q)
-    return EntropySequence(tuple(depths), tuple(values), float(h))
+    return EntropySequence(tuple(range(n + 1)), tuple(values), values[-1], scale * d**-n)

@@ -6,7 +6,6 @@ distance k from the root.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,20 +88,6 @@ class LabeledTree:
 
     def level_labels(self, k: int) -> np.ndarray:
         return self.labels[self.shape.level_slice(k)]
-
-    def to_json(self, model: AdjacencyModel) -> str:
-        return json.dumps([model.symbols[i] for i in self.labels.tolist()])
-
-    @classmethod
-    def from_json(cls, text: str, model: AdjacencyModel, arity: int | None = None) -> "LabeledTree":
-        names = json.loads(text)
-        index = {s: i for i, s in enumerate(model.symbols)}
-        labels = np.array([index[name] for name in names], dtype=np.int16)
-        d = arity if arity is not None else model.arity
-        depth = 0
-        while lattice_size(d, depth) < len(labels):
-            depth += 1
-        return cls(TreeShape(d, depth), labels)
 
 
 def validate_admissible(tree: LabeledTree, model: AdjacencyModel) -> None:

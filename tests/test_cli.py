@@ -57,6 +57,13 @@ EQUAL_RATE_CYCLES = {
 }
 
 
+# the full 2-shift on 0, 1 under a root 2 that has no parent
+TRANSIENT_ROOT = {
+    "symbols": ["0", "1", "2"],
+    "adjacency": [[1, 1, 1], [1, 1, 1], [0, 0, 0]],
+    "d": 2,
+}
+
 
 def _edges(n, edges, d=2):
     """Model from parent -> children lists; adjacency[child][parent] = 1."""
@@ -286,9 +293,26 @@ class TestOracle:
 
 class TestEntropy:
     def test_full_shift(self, write_model):
-        payload = run_json(["entropy", write_model(FULL2), "--n-max", "12"])
-        assert payload["h_top"] == pytest.approx(log(2), abs=1e-10)
-        assert len(payload["values"]) == 13
+        payload = run_json(["entropy", write_model(FULL2)])
+        assert 0 < payload["error_bound"] <= 1e-10
+        assert payload["h_top"] == pytest.approx(log(2), abs=payload["error_bound"])
+        assert payload["depths"] == list(range(len(payload["values"])))
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(FULL2, id="full2"),
+        pytest.param(EXAMPLE1, id="example1"),
+        pytest.param(EXAMPLE2_ADJ, id="example2"),
+        pytest.param(FACE_OPTIMUM, id="face_optimum"),
+        pytest.param(REDUCIBLE_PERIOD2, id="reducible_period2"),
+        pytest.param(EQUAL_RATE_CYCLES, id="equal_rate_cycles"),
+        pytest.param(TRANSIENT_ROOT, id="transient_root"),
+    ])
+    def test_one_readout_in_two_commands(self, write_model, model):
+        path = write_model(model)
+        entropy = run_json(["entropy", path])
+        assert entropy["error_bound"] <= 1e-10
+        assert entropy["h_top"] == entropy["values"][-1]
+        assert run_json(["dimension", path])["h_top"] == entropy["h_top"]
 
 
 class TestMeasure:
@@ -333,10 +357,6 @@ class TestExitCodes:
             ["simulate", "--depth", "-1"],
             ["simulate", "--depth", "0"],  # below the period: a phase has no level
             ["simulate", "--trials", "0"],
-            ["entropy", "--n-max", "-1"],
-            ["entropy", "--n-max", "2000"],  # past the float range
-            ["dimension", "--entropy-n", "-3"],
-            ["dimension", "--entropy-n", "100000"],
             ["dimension", "--eigen-tol", "-1"],
             ["dimension", "--eigen-tol", "nan"],
             ["dimension", "--eigen-tol", "inf"],

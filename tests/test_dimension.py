@@ -16,7 +16,6 @@ from treeshift import (
     optimal_markov_measure,
     ratios_to_simplex,
     simplex_to_ratios,
-    spectral_bound_report,
 )
 from treeshift.dimension import (
     _cyclic_blocks,
@@ -325,33 +324,44 @@ class TestGeneralUpperBound:
         assert report.dim == pytest.approx(0.1155245301, abs=1e-9)
 
 
+def _constant_column_sums(model):
+    col_sums = model.adjacency.sum(axis=0)
+    return bool((col_sums == col_sums[0]).all())
+
+
 class TestSpectralBound:
+    """dim <= log rho(A), and the constant-column-sum predicate the ``dimension``
+    command reports.  Constant column sums characterize the collapse
+    h_top = log rho (and then dim = log rho = h_top too).  They do not
+    characterize dim = log rho alone: a primitive matrix has dim = log rho by
+    the p = 1 case of the formula, whatever its column sums (golden mean:
+    dim = log rho = log phi < h_top)."""
+
     def test_full_shift_equality(self, full2):
-        rep = spectral_bound_report(full2)
-        assert rep.equality_predicate and rep.dim_equality_observed
+        rep = general_upper_bound(full2)
+        assert _constant_column_sums(full2)
         assert rep.dim == pytest.approx(log(2), abs=1e-10)
-        assert rep.log_rho == pytest.approx(log(2), abs=1e-10)
+        assert rep.log_rho_linear == pytest.approx(log(2), abs=1e-10)
 
     def test_period2_strict(self, period2):
-        rep = spectral_bound_report(period2)
-        assert not rep.equality_predicate and not rep.dim_equality_observed
+        rep = general_upper_bound(period2)
+        assert not _constant_column_sums(period2)
         assert rep.dim == pytest.approx(log(2) / 3, abs=1e-4)
-        assert rep.log_rho == pytest.approx(log(2) / 2, abs=1e-10)
-        assert rep.dim < rep.log_rho
+        assert rep.log_rho_linear == pytest.approx(log(2) / 2, abs=1e-10)
+        assert rep.dim < rep.log_rho_linear - 1e-6
 
     def test_golden_collapses_dim_but_not_entropy(self, golden):
-        # primitive: dim = log rho whatever the column sums; the column-sum
-        # predicate governs the entropy collapse instead
-        rep = spectral_bound_report(golden)
-        assert not rep.equality_predicate
-        assert rep.dim_equality_observed
-        assert not rep.entropy_equality_observed
-        assert rep.bound_holds
+        rep = general_upper_bound(golden)
+        assert not _constant_column_sums(golden)
+        assert rep.dim == pytest.approx(rep.log_rho_linear, abs=1e-6)
+        assert abs(rep.h_top - rep.log_rho_linear) > 1e-9
 
     def test_predicate_matches_entropy_equality(self, full2, swap2, period2, golden):
         for model in (full2, swap2, period2, golden):
-            rep = spectral_bound_report(model)
-            assert rep.equality_predicate == rep.entropy_equality_observed
+            rep = general_upper_bound(model)
+            assert rep.dim <= rep.log_rho_linear + 1e-9
+            equal = abs(rep.h_top - rep.log_rho_linear) < 1e-9
+            assert _constant_column_sums(model) == equal
 
 
 class TestOptimalMeasure:

@@ -13,9 +13,7 @@ from treeshift import (
     empirical_pair,
     find_a0_and_period,
     lln_experiment,
-    lln_limit,
     sample_tree,
-    tail_estimate,
     validate_admissible,
 )
 from treeshift.errors import ModelValidationError, TooLarge
@@ -305,43 +303,3 @@ class TestLlnExperiment:
         lo, hi = np.log(example1.W[sup]).min(), np.log(example1.W[sup]).max()
         assert np.all(report.trial_means >= lo - 1e-12)
         assert np.all(report.trial_means <= hi + 1e-12)
-
-
-class TestTailEstimate:
-    def test_whole_line(self, example1):
-        report = tail_estimate(
-            example1, SampleConfig(depth=6, trials=50, seed=3), (-1e9, 1e9)
-        )
-        assert all(f == 1.0 for f in report.frequency)
-        assert all(r == 0.0 for r in report.log_rate)
-
-    def test_concentration_near_limit(self, example1):
-        # frequency of a fixed window around the limit grows toward 1
-        star = lln_limit(example1, 0)
-        report = tail_estimate(
-            example1,
-            SampleConfig(depth=10, trials=300, seed=8),
-            (star - 0.02, star + 0.02),
-        )
-        assert report.frequency[-1] > 0.95
-        assert report.frequency[-1] >= report.frequency[2]
-
-    def test_moderate_deviation_matches_oracle(self, example1):
-        # exact depth-5 probability of [0.28, 0.33] is ~0.0674
-        exact = exact_mean_distribution(example1, 5, root=0).prob_in(0.28, 0.33)
-        report = tail_estimate(
-            example1, SampleConfig(depth=5, trials=4000, seed=11, root=0), (0.28, 0.33)
-        )
-        size = 63.0
-        assert report.log_rate[-1] == pytest.approx(log(exact) / size, abs=0.1)
-        assert report.wilson_low[-1] <= exact <= report.wilson_high[-1]
-
-    def test_rare_event_reported_honestly(self, example1):
-        # P([0.4, 0.45]) at depth 6 is ~1.1e-7: a naive estimator sees nothing,
-        # and the report must say so rather than fake a rate
-        report = tail_estimate(
-            example1, SampleConfig(depth=6, trials=2000, seed=11, root=0), (0.4, 0.45)
-        )
-        assert report.frequency[-1] == 0.0
-        assert report.log_rate[-1] == float("-inf")
-        assert report.wilson_high[-1] >= 1.1e-7

@@ -13,9 +13,11 @@ from treeshift import (
     linear_spectral_radius,
     principal_eigenpair,
     psi,
+    reachability,
+    reduce_a0,
 )
 from treeshift.dimension import _cyclic_blocks, simplex_to_ratios
-from treeshift.errors import BadExponent, ModelValidationError, NoConvergence
+from treeshift.errors import BadExponent, EmptyModel, NoConvergence
 from treeshift.oracle import block_counts
 from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
@@ -310,40 +312,77 @@ def _try_period(model):
         return None
 
 
+def _entropy_value(model, depth):
+    """log(sum_a c_depth(a)) / |Lambda(depth)| on the model's core, by a plain loop."""
+    rep = reachability(model)
+    core = sorted(set().union(*(rep.closures[a] for a in rep.recurrent)))
+    log_adj = log_weights(model.adjacency[np.ix_(core, core)])
+    d, x = model.arity, np.zeros(len(core))
+    for _ in range(depth):
+        x = psi(log_adj, d, x)
+    return np.logaddexp.reduce(x) / ((d ** (depth + 1) - 1.0) / (d - 1.0))
+
+
 class TestEntropy:
     def test_full_shift_constant(self, full2):
-        seq = entropy_iterate(full2, 12)
-        assert seq.values[1:] == pytest.approx([log(2)] * 12, abs=1e-12)
+        seq = entropy_iterate(full2)
+        assert seq.values[1:] == pytest.approx([log(2)] * (len(seq.values) - 1), abs=1e-12)
         assert seq.h_top == pytest.approx(log(2), abs=1e-12)
+        assert 0 < seq.error_bound <= 1e-10
 
     def test_period2_closed_form(self, period2):
-        seq = entropy_iterate(period2, 40)
-        assert seq.h_top == pytest.approx(2 * log(2) / 3, abs=1e-3)
+        seq = entropy_iterate(period2)
+        assert seq.h_top == pytest.approx(2 * log(2) / 3, abs=seq.error_bound)
 
     def test_golden_exceeds_spectral_radius(self, golden):
-        seq = entropy_iterate(golden, 40)
+        seq = entropy_iterate(golden)
         log_phi = log((1 + sqrt(5)) / 2)
         assert seq.h_top > log_phi + 0.02
         assert seq.h_top == pytest.approx(0.5089, abs=2e-3)
 
-    def test_deepest_accepted_depth_stays_finite(self, golden, full3, nine):
-        for model in (golden, full3, nine):
-            depth = 2000
-            while True:  # a rejected depth raises before the recursion runs
-                try:
-                    seq = entropy_iterate(model, depth)
-                    break
-                except ModelValidationError:
-                    depth -= 1
-            assert 500 < depth < 2000
-            assert np.isfinite(seq.values).all() and np.isfinite(seq.h_top)
-            with pytest.raises(ModelValidationError, match="float range"):
-                entropy_iterate(model, depth + 1)
-
     def test_matches_exact_counts(self, period2, golden):
         for model in (period2, golden):
-            seq = entropy_iterate(model, 3)
+            seq = entropy_iterate(model)
             for k in range(4):
                 exact = log(sum(block_counts(model, k))) / lattice_size(model.arity, k)
                 assert seq.values[k] == pytest.approx(exact, abs=1e-12)
 
+    def test_transient_roots_leave_the_limit(self):
+        # symbol 2 has no parent and roots the full 2-shift's trees one level late
+        full_with_root = make_model([[1, 1, 1], [1, 1, 1], [0, 0, 0]])
+        seq = entropy_iterate(full_with_root)
+        assert seq.h_top == pytest.approx(log(2), abs=1e-12)
+        # fixed points 0 and 3; symbol 1 has no parent and roots (1 + 2^4)^4
+        # trees at every depth from 2, so h = 0, but that count divided by
+        # |Lambda(n)| at the certified depth is about 3 times the bound
+        model = make_model([[1, 1, 1, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], d=4)
+        seq = entropy_iterate(model)
+        assert 0.0 <= seq.h_top <= seq.error_bound
+        n = seq.depths[-1]
+        assert log(sum(block_counts(model, n))) / lattice_size(4, n) > 2 * seq.error_bound
+
+    def test_zero_entropy_within_bound(self, swap2):
+        # one tree per root at every depth: the value is log 2 / |Lambda(n)|
+        seq = entropy_iterate(swap2)
+        assert 0.0 < seq.h_top <= seq.error_bound
+
+    def test_no_cycle_raises(self):
+        with pytest.raises(EmptyModel):
+            entropy_iterate(make_model([[0, 0], [1, 0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 4), st.booleans())
+    def test_certified_against_deeper_value(self, seed, n, d, periodic):
+        """The value at the certified depth n* lies within the a-priori bound of
+        the value 20 levels deeper, on reducible and periodic models."""
+        rng = np.random.default_rng(seed)
+        if periodic:
+            model, _ = periodic_model(seed, int(rng.integers(2, 5)), d, max_symbols=7)
+        else:
+            model = reduce_a0(make_model(random_a0_matrix(rng, n, rng.uniform(0.2, 0.7)), d=d))
+        seq = entropy_iterate(model)
+        assert seq.depths == tuple(range(len(seq.values)))
+        assert seq.h_top == seq.values[-1]
+        assert seq.error_bound <= 1e-10
+        deeper = _entropy_value(model, seq.depths[-1] + 20)
+        assert abs(seq.h_top - deeper) <= seq.error_bound

@@ -12,7 +12,6 @@ from treeshift import (
     lattice_size,
     sample_mean,
     tree_metric,
-    validate_admissible,
 )
 from treeshift.errors import (
     InadmissibleTree,
@@ -163,12 +162,3 @@ class TestMetric:
         b = LabeledTree(TreeShape(2, 2), np.zeros(7, dtype=int))
         with pytest.raises(ShapeMismatch):
             tree_metric(a, b)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self, golden):
-        tree = LabeledTree(TreeShape(2, 1), np.array([0, 0, 1]))
-        text = tree.to_json(golden)
-        back = LabeledTree.from_json(text, golden)
-        assert np.array_equal(back.labels, tree.labels)
-        validate_admissible(back, golden)
