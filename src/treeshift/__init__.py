@@ -22,7 +22,6 @@ from .dimension import (
     ExponentVector,
     OptimalMeasure,
     dim_objective,
-    general_upper_bound,
     hausdorff_dimension,
     optimal_markov_measure,
     ratios_to_simplex,

@@ -26,12 +26,7 @@ from .alphabet_graph import (
     reachability,
     reduce_a0,
 )
-from .dimension import (
-    check_tolerance,
-    general_upper_bound,
-    hausdorff_dimension,
-    optimal_markov_measure,
-)
+from .dimension import check_tolerance, hausdorff_dimension, optimal_markov_measure
 from .errors import (
     ModelParseError,
     ModelValidationError,
@@ -220,10 +215,7 @@ def dimension(model_file, eigen_tol, scan_csv):
 
     def go():
         digest, _, _, reduced = _load(model_file)
-        if is_irreducible(reduced):
-            report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
-        else:
-            report = general_upper_bound(reduced, eigen_tol=eigen_tol)
+        report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
         if scan_csv:
             _write_scan_csv(scan_csv, report)
         col_sums = reduced.adjacency.sum(axis=0)
@@ -426,6 +418,8 @@ def measure(model_file, eigen_tol, tol):
     def go():
         check_tolerance("certificate tolerance", tol)  # before the dimension solve
         digest, _, _, reduced = _load(model_file)
+        if not is_irreducible(reduced):  # a reducible model gets only a bound, no measure
+            raise ModelValidationError("optimal measure needs an irreducible model")
         report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
         om = optimal_markov_measure(reduced, report, tol=tol, eigen_tol=eigen_tol)
         payload = {

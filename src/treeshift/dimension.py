@@ -23,21 +23,18 @@ import numpy as np
 from .alphabet_graph import (
     AdjacencyModel,
     PeriodStructure,
+    _reach,
+    _recurrent,
     _sccs,
     find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
-    reachability,
     reduce_a0,
 )
-from .errors import (
-    ClassInconsistency,
-    EmptyRecurrentSet,
-    ModelValidationError,
-    ValidationFailed,
-)
+from .errors import ClassInconsistency, ModelValidationError, ValidationFailed
 from .rate_function import (
     WeightedChainModel,
+    _stationary_vector,
     lln_limit,
     reciprocal_on_support,
     stationary_class_vector,
@@ -47,7 +44,6 @@ from .transfer_op import (
     _eigen_rows,
     entropy_iterate,
     log_weights,
-    logsumexp,
     principal_eigenpair,
     psi,
 )
@@ -201,35 +197,44 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     return [AdjacencyModel(model.symbols, adj, model.arity) for adj in masked if adj.any()]
 
 
-def _log_rho_gradient(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d log rho / d r_i of the cone-0 cycle at its eigenvector ``x`` (logs, -inf off support).
+def _cycle_steps(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> list[tuple]:
+    """The steps of the cone-0 cycle from ``x`` (logs, -inf off support).
 
-    Step i sends x_i to x_{i+1} = r_i z_i, z_i = log(A^T exp(x_i)), with
-    Jacobian J_i = r_i S_i (S_i the row-stochastic softmax of the step).
+    Step i sends x_i to x_{i+1} = r_i z_i, z_i = log(A^T exp(x_i)).  For each
+    step this returns the children (the support of x_i), the parents (that of
+    z_i), the row-stochastic softmax S_i [parents, children] of the step, and
+    z_i on the parents.  The step's Jacobian is J_i = r_i S_i.
+    """
+    children = np.flatnonzero(np.isfinite(x))
+    x = x[children]
+    steps = []
+    for r_i in r:
+        nxt = psi(log_adj[children], float(r_i), x)
+        parents = np.flatnonzero(np.isfinite(nxt))
+        z = nxt[parents] / r_i
+        softmax = np.exp(log_adj[np.ix_(children, parents)] + x[:, None] - z).T
+        steps.append((children, parents, softmax, z))
+        children, x = parents, nxt[parents]
+    return steps
+
+
+def _log_rho_gradient(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d log rho / d r_i of the cone-0 cycle at its eigenvector ``x`` (see ``_cycle_steps``).
+
     The cycle is additively homogeneous, so at the eigenvector its Jacobian
     J = J_{p-1} ... J_0 is row-stochastic and d log rho = pi^T dL for the
     left Perron vector pi of J: d log rho / d r_i = pi^T J_{p-1} ... J_{i+1} z_i.
     """
-    support = np.flatnonzero(np.isfinite(x))
-    x = x[support]
-    softmax, lse = [], []
-    for r_i in r:
-        nxt = psi(log_adj[support], float(r_i), x)
-        kept = np.flatnonzero(np.isfinite(nxt))
-        z = nxt[kept] / r_i
-        softmax.append(np.exp(log_adj[np.ix_(support, kept)] + x[:, None] - z).T)
-        lse.append(z)
-        support, x = kept, nxt[kept]
-    jac = np.eye(len(x))
-    for r_i, step in zip(r, softmax):
-        jac = r_i * step @ jac
-    k = len(jac)
-    system = np.vstack([jac.T - np.eye(k), np.ones((1, k))])
-    adjoint = np.linalg.lstsq(system, np.eye(k + 1)[k], rcond=None)[0]
+    steps = _cycle_steps(log_adj, r, x)
+    jac = np.eye(len(steps[-1][1]))
+    for r_i, (_, _, softmax, _) in zip(r, steps):
+        jac = r_i * softmax @ jac
+    adjoint = _stationary_vector(jac.T)
     grad = np.empty(len(r))
     for i in reversed(range(len(r))):
-        grad[i] = adjoint @ lse[i]
-        adjoint = r[i] * softmax[i].T @ adjoint
+        _, _, softmax, z = steps[i]
+        grad[i] = adjoint @ z
+        adjoint = r[i] * softmax.T @ adjoint
     return grad
 
 
@@ -470,63 +475,45 @@ def check_tolerance(name: str, value: float) -> None:
         raise ModelValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def hausdorff_dimension(
-    model: AdjacencyModel,
-    period: PeriodStructure | None = None,
-    eigen_tol: float = EIGEN_TOL,
-) -> DimensionReport:
-    """Exact dimension for irreducible models: lattice scan, then gap-stopped Newton steps."""
-    check_tolerance("eigen tolerance", eigen_tol)
-    if not is_irreducible(model):
-        raise ModelValidationError(
-            "model is not irreducible; use general_upper_bound instead"
-        )
-    if period is None:
-        period = find_a0_and_period(model)
-    bound = dim, s_star, _, _, _ = _bound(model, period, eigen_tol)
-    # the objective on every cone at the argmin; the linear bound is its own one value
-    class_values = (dim,) if period.period == 1 else tuple(
-        dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
-    )
-    return _report(model, bound, class_values, "exact_irreducible", period.a0)
+def hausdorff_dimension(model: AdjacencyModel, eigen_tol: float = EIGEN_TOL) -> DimensionReport:
+    """The dimension of an irreducible model, and an upper bound for any other.
 
-
-def general_upper_bound(
-    model: AdjacencyModel,
-    eigen_tol: float = EIGEN_TOL,
-) -> DimensionReport:
-    """Upper bound for arbitrary (A0) models: max over recurrent closures.
-
-    Each recurrent symbol a spans the submodel on its descendant closure,
-    which satisfies the generation assumption with a as the base symbol; the
-    irreducible formula evaluated there bounds the closure's dimension.  If
-    the closure's class labeling is inconsistent (possible for reducible
-    models), the linear spectral radius of the closure is used instead, which
-    is always a valid upper bound.  The report's grid scan is that of the
-    first closure that sets the bound.
+    After the (A0) reduction, each recurrent symbol a spans the submodel on
+    its descendant closure, which satisfies the generation assumption with a
+    as the base symbol; ``_bound`` there bounds the closure's dimension, and
+    the largest over the closures bounds the model's.  An irreducible model
+    is its own one closure, where the bound is exact: its report reads
+    ``exact_irreducible`` and carries the objective on every cone at the
+    argmin.  Otherwise it reads ``upper_bound_general``.  A closure whose
+    class labeling is inconsistent (possible for reducible models) takes the
+    linear spectral radius, always a valid upper bound.  The report's grid
+    scan is that of the first closure that sets the bound.
     """
     check_tolerance("eigen tolerance", eigen_tol)
     model = reduce_a0(model)
-    report = reachability(model)
-    if not report.recurrent:
-        raise EmptyRecurrentSet(
-            "no symbol lies on a cycle: the shift holds finitely many trees (dimension 0)"
-        )
-    bases: dict[frozenset, int] = {}  # each closure once, with its smallest base symbol
-    for a in sorted(report.recurrent):
-        bases.setdefault(report.closures[a], a)
+    reach = _reach(model.adjacency)
+    bases: dict[bytes, int] = {}  # each closure (a row of reach) once, with its smallest base
+    for a in np.flatnonzero(_recurrent(model.adjacency, reach)):
+        bases.setdefault(reach[a].tobytes(), int(a))
     bounds = []
-    for closure, a in bases.items():
-        keep = sorted(closure)
-        sub = model.submodel(keep)
+    for a in bases.values():
+        keep = np.flatnonzero(reach[a])
+        sub = model if len(keep) == model.n_symbols else model.submodel(keep)
         try:
-            sub_period = find_a0_and_period(sub, a0=keep.index(a))
+            period = find_a0_and_period(sub, a0=int(np.searchsorted(keep, a)))
         except ClassInconsistency:
-            sub_period = None
-        bounds.append((_bound(sub, sub_period, eigen_tol), a))
-    (value, s_arg, _, gap, scan), a = max(bounds, key=lambda item: item[0][0])
-    bound = (value, s_arg, sum(b[2] for b, _ in bounds), gap, scan)
-    return _report(model, bound, (float(value),), "upper_bound_general", a)
+            period = None
+        bounds.append((_bound(sub, period, eigen_tol), a))
+    (dim, s_star, _, gap, scan), a = max(bounds, key=lambda item: item[0][0])
+    bound = (dim, s_star, sum(b[2] for b, _ in bounds), gap, scan)
+    if not reach.all():
+        return _report(model, bound, (float(dim),), "upper_bound_general", a)
+    # the one closure is the model, and ``period`` its labeling; the linear
+    # bound (p = 1) is its own one value
+    class_values = (dim,) if period.period == 1 else tuple(
+        dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
+    )
+    return _report(model, bound, class_values, "exact_irreducible", a)
 
 
 @dataclass(frozen=True)
@@ -548,42 +535,29 @@ def optimal_markov_measure(
 ) -> OptimalMeasure:
     """Markov measure whose cylinder decay attains the Hausdorff dimension.
 
-    The eigenvector chain w^(j+1) = normalize(psi(A, r_j, w^(j))) at the
-    minimizing exponents feeds columnwise weights: a parent in class j sends
-    mass to child a proportional to A[a, b] * w^(j+1)[a].  (The support
-    restriction to A and the per-parent normalization are a corrected reading
-    of the construction; correctness is certified numerically instead: the
-    smallest likelihood-decay phase of the built chain must reproduce the
-    dimension.)
+    A parent b sends mass to child a in proportion to A[a, b] exp(x[a]), with
+    x the cone-0 cycle's iterate on b's children, started at the eigenvector
+    of the minimizing exponents: column b of M* is b's row of the softmax of
+    that cycle step (``_cycle_steps``), the factor that the derivative of
+    log rho reads.  (The support restriction to A and the per-parent
+    normalization are a corrected reading of the construction; correctness
+    is certified numerically instead: the smallest likelihood-decay phase of
+    the built chain must reproduce the dimension.)
     """
     check_tolerance("certificate tolerance", tol)
     check_tolerance("eigen tolerance", eigen_tol)
     if not is_irreducible(model):
         raise ModelValidationError("optimal measure needs an irreducible model")
     period = find_a0_and_period(model)
-    p = period.period
-    n = model.n_symbols
-    log_adj = log_weights(model.adjacency)
-
     pair = principal_eigenpair(model, period, report.argmin_r, class_index=0, tol=eigen_tol)
-    w_chain = [pair.eigvec]
-    for j in range(p):
-        nxt = psi(log_adj, float(report.argmin_r[j % p]), w_chain[-1])
-        w_chain.append(nxt - logsumexp(nxt))
-
-    m_star = np.zeros((n, n))
-    for b in range(n):
-        j = period.class_of[b]
-        # each psi step lowers the supported class by one, so the chain entry
-        # carrying the children of class j lives at index -(j+1) mod p
-        w_next = w_chain[(-(j + 1)) % p]
-        col_support = model.adjacency[:, b] == 1
-        logs = np.where(col_support, log_adj[:, b] + w_next, -np.inf)
-        norm = logsumexp(logs)
-        m_star[col_support, b] = np.exp(logs[col_support] - norm)
+    m_star = np.zeros((model.n_symbols,) * 2)
+    for children, parents, softmax, _ in _cycle_steps(
+        log_weights(model.adjacency), report.argmin_r, pair.eigvec
+    ):
+        m_star[np.ix_(children, parents)] = softmax.T
 
     chain = WeightedChainModel(model, m_star, reciprocal_on_support(m_star))
-    phases = tuple(lln_limit(chain, j, period) for j in range(p))
+    phases = tuple(lln_limit(chain, j, period) for j in range(period.period))
     validation = min(phases)
     if abs(validation - report.dim) > tol:
         raise ValidationFailed(

@@ -67,10 +67,6 @@ class NoConvergence(TreeShiftError):
         self.best = best
 
 
-class EmptyRecurrentSet(TreeShiftError):
-    """No symbol lies on a cycle; the shift contains finitely many trees."""
-
-
 class ValidationFailed(TreeShiftError):
     """A numerical cross-check missed its tolerance; carries both numbers."""
 

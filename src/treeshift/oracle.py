@@ -143,7 +143,7 @@ class TypeClass:
         k = self.total_edge_counts
         sup = k > 0
         total_nodes = sum(sum(level) for level in self.levels)
-        return float((k[sup] * np.log(chain.W[sup])).sum() / total_nodes)
+        return float((k[sup] * chain.log_w[sup]).sum() / total_nodes)
 
 
 def _log_big(x: int) -> float:
@@ -333,9 +333,7 @@ def mean_distribution(
 ) -> MeanDistribution:
     """Group the depth-n type classes of ``root`` by their weighted edge counts."""
     total_nodes = lattice_size(chain.arity, n)
-    sup = chain.base.adjacency == 1
-    log_w = np.zeros_like(chain.W)
-    log_w[sup] = np.log(chain.W[sup])
+    log_w = chain.log_w
     weighted_edges = [
         (a, b) for a in range(chain.base.n_symbols)
         for b in range(chain.base.n_symbols) if log_w[a, b] != 0.0

@@ -16,6 +16,7 @@ congruent to j mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf, isfinite, log, nan
 from typing import Callable
 
@@ -54,7 +55,7 @@ class WeightedChainModel:
                 f"M and W must match the adjacency shape {adj.shape}"
             )
         for name, mat in (("M", m), ("A", w)):
-            bad = np.argwhere((mat > 0) != (adj == 1))
+            bad = np.argwhere(((mat > 0) != (adj == 1)) | (mat < 0))
             if bad.size:
                 r, c = bad[0]
                 raise ModelValidationError(
@@ -81,8 +82,19 @@ class WeightedChainModel:
     def log_m(self) -> np.ndarray:
         return log_weights(self.M)
 
+    @cached_property
     def log_w(self) -> np.ndarray:
-        return log_weights(self.W)
+        """log W on the support, 0 off it: the observable every sample mean sums."""
+        out = np.zeros_like(self.W)
+        sup = self.base.adjacency == 1
+        out[sup] = np.log(self.W[sup])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def log_w_max(self) -> float:
+        """The largest |log W| over the support (0 with no support)."""
+        return float(np.abs(self.log_w).max(initial=0.0))
 
 
 def chain_from_matrices(m, w=None, d: int = 2, symbols=None) -> WeightedChainModel:
@@ -149,7 +161,7 @@ def tilted_matrix(chain: WeightedChainModel, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     sup = chain.base.adjacency == 1
     if mu.ndim <= 1:
-        tilt = mu[..., None, None] * np.where(sup, chain.log_w(), 0.0)
+        tilt = mu[..., None, None] * chain.log_w
     elif mu.shape[-2:] == chain.M.shape:
         tilt = mu
     else:
@@ -159,9 +171,8 @@ def tilted_matrix(chain: WeightedChainModel, mu) -> np.ndarray:
 
 def _recursion_constant(chain: WeightedChainModel) -> float:
     sup = chain.base.adjacency == 1
-    c_w = np.abs(np.log(chain.W[sup])).max(initial=0.0)
     c_m = np.abs(np.log(chain.M[sup])).max(initial=0.0)
-    return max(c_w, c_m, log(chain.base.n_symbols))
+    return max(chain.log_w_max, c_m, log(chain.base.n_symbols))
 
 
 def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
@@ -186,12 +197,11 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     rows = log_e.shape[0]
     depth = np.broadcast_to(n, rows)
     mask = np.broadcast_to(mask, (rows, size))
-    log_w = np.where(chain.base.adjacency == 1, chain.log_w(), 0.0)
     x = np.zeros((rows, size))
     dx = np.zeros_like(x)
     x_n, dx_n = x.copy(), dx.copy()  # a depth-0 row reads x_0 = 0
     for k in range(1, int(depth.max(initial=0)) + 1):
-        x, dx = psi(log_e, d, x, log_w, dx)
+        x, dx = psi(log_e, d, x, chain.log_w, dx)
         done = depth == k
         x_n[done], dx_n[done] = x[done], dx[done]
     root = np.where(mask, x_n, -np.inf).argmax(axis=1)
@@ -212,7 +222,7 @@ def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[
     sup = chain.base.adjacency == 1
     ends = []
     for sign in (-1.0, 1.0):
-        signed = np.where(sup, sign * chain.log_w(), -np.inf)
+        signed = np.where(sup, sign * chain.log_w, -np.inf)
         y = np.zeros(chain.base.n_symbols)
         for _ in range(n):
             y = d * (signed + y[:, None]).max(axis=0)
@@ -449,29 +459,34 @@ def domain_endpoints(
     if period is None:
         period = find_a0_and_period(chain.base)
     d = chain.arity
-    sup = chain.base.adjacency == 1
-    n = _certified_depth(np.abs(np.log(chain.W[sup])).max(initial=0.0), d, PRESSURE_TOL)
+    n = _certified_depth(chain.log_w_max, d, PRESSURE_TOL)
     mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
     lo, hi = _extreme_sums(chain, n, mask)
     weight = (d - 1.0) / d ** (n + 1.0)
     return weight * lo, weight * hi
 
 
+def _stationary_vector(matrix: np.ndarray) -> np.ndarray:
+    """y with matrix @ y = y and sum(y) = 1, for a matrix whose eigenvalue 1 is simple.
+
+    (matrix - I) y = 0 stacked with sum(y) = 1 is one least-squares system
+    with an exact solution.
+    """
+    k = len(matrix)
+    system = np.vstack([matrix - np.eye(k), np.ones((1, k))])
+    return np.linalg.lstsq(system, np.eye(k + 1)[k], rcond=None)[0]
+
+
 def stationary_class_vector(chain: WeightedChainModel, period: PeriodStructure) -> np.ndarray:
     """Probability eigenvector of M^p supported on class A_0, by a direct solve.
 
-    M^p maps class A_0 into itself; (M^p - I) y = 0 on that block, stacked
-    with sum(y) = 1, is one least-squares system with an exact solution.
+    M^p maps class A_0 into itself, so the solve runs on that block.
     """
     n = chain.base.n_symbols
     mask = period.class_mask(0, n)
     block = np.linalg.matrix_power(chain.M, period.period)[np.ix_(mask, mask)]
-    k = block.shape[0]
-    system = np.vstack([block - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
     y = np.zeros(n)
-    y[mask] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    y[mask] = _stationary_vector(block)
     return y
 
 
@@ -497,9 +512,7 @@ def lln_limit(
     pis = [pi0]
     for k in range(1, p):
         pis.append(np.linalg.matrix_power(chain.M, p - k) @ pi0)
-    sup = chain.base.adjacency == 1
-    m_logw = np.zeros_like(chain.M)
-    m_logw[sup] = chain.M[sup] * np.log(chain.W[sup])
+    m_logw = chain.M * chain.log_w
     layer_value = [float(m_logw.sum(axis=0) @ pis[k]) for k in range(p)]
     weights = np.array([float(d) ** (-i) for i in range(p)])
     weights /= weights.sum()

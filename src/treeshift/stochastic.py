@@ -157,13 +157,10 @@ def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -
         raise ModelValidationError(
             f"depth {config.depth} at d = {d}: a level of d^depth nodes overflows int64 counts"
         )
-    sup = chain.base.adjacency == 1
-    log_w = np.zeros_like(chain.W)
-    log_w[sup] = np.log(chain.W[sup])
     out = np.zeros(config.depth + 1)
     acc = 0.0
     for k, edges in enumerate(_edge_counts(chain, config, trial), start=1):
-        acc += float((edges * log_w).sum())
+        acc += float((edges * chain.log_w).sum())
         out[k] = acc / lattice_size(d, k)
     return out
 
@@ -199,19 +196,22 @@ def lln_experiment(
     """Compare sampled running means against the almost-sure phase limits.
 
     Means at depths congruent to j mod p are tested against the phase-j
-    limit; aperiodic chains get a single check at the full depth.
+    limit; aperiodic chains get a single check at the full depth.  A
+    standard error needs at least two trials.
     """
     if period is None:
         period = find_a0_and_period(chain.base)
     p = period.period
+    if config.trials < 2:
+        raise ModelValidationError(
+            f"a standard error needs two or more trials, got {config.trials}"
+        )
     if config.depth < p:
         raise ModelValidationError(f"depth {config.depth} leaves a phase of period {p} unsampled")
     depth_means = np.vstack([running_means(chain, config, t) for t in range(config.trials)])
     trial_means = depth_means[:, -1]
     emp = float(trial_means.mean())
-    se = float(trial_means.std(ddof=1) / sqrt(config.trials)) if config.trials > 1 else 0.0
-    sup = chain.base.adjacency == 1
-    log_w_scale = float(np.abs(np.log(chain.W[sup])).max(initial=0.0))
+    se = float(trial_means.std(ddof=1) / sqrt(config.trials))
 
     checks = []
     for j in range(p):
@@ -219,13 +219,13 @@ def lln_experiment(
         target = lln_limit(chain, j, period)
         col = depth_means[:, depth]
         c_emp = float(col.mean())
-        c_se = float(col.std(ddof=1) / sqrt(config.trials)) if config.trials > 1 else 0.0
+        c_se = float(col.std(ddof=1) / sqrt(config.trials))
         if c_se > 0:
             z = (c_emp - target) / c_se
         else:
             # degenerate sampling distribution: only the finite-depth
             # truncation bias, O(d^-depth), separates mean from limit
-            allowance = max(1e-9, log_w_scale * (depth + 1) * chain.arity ** (-depth))
+            allowance = max(1e-9, chain.log_w_max * (depth + 1) * chain.arity ** (-depth))
             z = 0.0 if abs(c_emp - target) <= allowance else float("inf")
         checks.append(
             PhaseCheck(

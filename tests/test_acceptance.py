@@ -204,7 +204,7 @@ class TestCriterion6:
                     continue
                 checked += 1
                 lin = linear_spectral_radius(model.adjacency.T.astype(float))
-                report = hausdorff_dimension(model, period)
+                report = hausdorff_dimension(model)
                 # independent route: nonlinear power iteration at r = (1)
                 pair = principal_eigenpair(model, period, [1.0])
                 worst = max(worst, abs(report.dim - lin), abs(pair.log_rho - lin))

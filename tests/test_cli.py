@@ -326,6 +326,15 @@ class TestMeasure:
         payload = run_json(["measure", write_model(FACE_OPTIMUM)])
         assert payload["validation_value"] == pytest.approx(payload["dim"], abs=1e-6)
 
+    def test_reducible_exits_before_the_solve(self, write_model, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the dimension solve ran")
+
+        monkeypatch.setattr("treeshift.cli.hausdorff_dimension", solve)
+        result = run_cli(["measure", write_model(REDUCIBLE_PERIOD2)])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr.splitlines()[-1])["error"] == "ModelValidationError"
+
     def test_certificate_tolerance_exit(self, write_model):
         result = run_cli(["measure", write_model(EXAMPLE2_ADJ), "--tol", "1e-18"])
         # either the certificate is exact (fine) or it exits with the numeric code
@@ -357,6 +366,7 @@ class TestExitCodes:
             ["simulate", "--depth", "-1"],
             ["simulate", "--depth", "0"],  # below the period: a phase has no level
             ["simulate", "--trials", "0"],
+            ["simulate", "--trials", "1"],  # no standard error from one trial
             ["dimension", "--eigen-tol", "-1"],
             ["dimension", "--eigen-tol", "nan"],
             ["dimension", "--eigen-tol", "inf"],
@@ -428,11 +438,11 @@ class TestErrorRecord:
         assert lo <= best["log_rho"] <= hi
 
     def test_certificate_miss(self, write_model):
-        # the face optimum certifies to about 4e-12, not to 1e-12
-        code, record = _error_record(["measure", write_model(FACE_OPTIMUM), "--tol", "1e-12"])
+        # the face optimum certifies to about 4e-12, not exactly
+        code, record = _error_record(["measure", write_model(FACE_OPTIMUM), "--tol", "0"])
         assert code == record["exit_code"] == 4
         assert record["error"] == "ValidationFailed"
-        assert abs(record["expected"] - record["got"]) > 1e-12
+        assert record["expected"] != record["got"]
         assert "bracket" not in record and "best" not in record
 
     def test_parse_error(self, tmp_path):

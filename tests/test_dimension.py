@@ -1,4 +1,3 @@
-from dataclasses import fields
 from math import log
 
 import numpy as np
@@ -8,16 +7,15 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from treeshift import (
-    DimensionReport,
     dim_objective,
     find_a0_and_period,
-    general_upper_bound,
     hausdorff_dimension,
     optimal_markov_measure,
     ratios_to_simplex,
     simplex_to_ratios,
 )
 from treeshift.dimension import (
+    _bound,
     _cyclic_blocks,
     _gradients,
     _objective,
@@ -25,7 +23,7 @@ from treeshift.dimension import (
     _search,
     _simplex_grid,
 )
-from treeshift.errors import ModelValidationError, ValidationFailed
+from treeshift.errors import ValidationFailed
 from treeshift.transfer_op import EIGEN_TOL
 
 from conftest import make_model, periodic_model, periodic_models
@@ -167,9 +165,10 @@ class TestHausdorff:
         assert report.argmin_r[0] == pytest.approx(2.0, abs=1e-3)
         assert report.method == "exact_irreducible"
 
-    def test_rejects_reducible(self):
-        with pytest.raises(ModelValidationError):
-            hausdorff_dimension(make_model([[1, 1], [0, 1]]))
+    def test_reducible_reports_upper_bound(self):
+        report = hausdorff_dimension(make_model([[1, 1], [0, 1]]))
+        assert report.method == "upper_bound_general"
+        assert report.class_values == (report.dim,)
 
     def test_dim_below_entropy_and_radius(self, period2, golden, full2):
         for model in (period2, golden, full2):
@@ -181,8 +180,7 @@ class TestHausdorff:
         base = hausdorff_dimension(period2).dim
         for a0 in (1, 2):
             forced = find_a0_and_period(period2, a0=a0)
-            rep = hausdorff_dimension(period2, period=forced)
-            assert rep.dim == pytest.approx(base, abs=1e-8)
+            assert _bound(period2, forced, EIGEN_TOL)[0] == pytest.approx(base, abs=1e-8)
 
 
 class TestConvexSearch:
@@ -203,7 +201,7 @@ class TestConvexSearch:
     def test_no_pairwise_move_improves_argmin(self, args):
         # s + h (e_i - e_j) with h = min(1e-4, s_j): faces are moved onto, not across
         model, period = periodic_model(*args)
-        report = hausdorff_dimension(model, period)
+        report = hausdorff_dimension(model)
         s = report.argmin_s
         for i in range(period.period):
             for j in range(period.period):
@@ -273,18 +271,7 @@ class TestScan:
 
 
 class TestGeneralUpperBound:
-    @given(periodic_models)
-    @settings(max_examples=20, deadline=None)
-    def test_matches_exact_for_irreducible(self, period2, golden, args):
-        # an irreducible model is its own one closure: the same solve, bit for bit
-        for model in (period2, golden, periodic_model(*args)[0]):
-            exact = hausdorff_dimension(model)
-            bound = general_upper_bound(model)
-            assert bound.method == "upper_bound_general"
-            for field in fields(DimensionReport):
-                if field.name not in ("method", "class_values"):
-                    got, want = getattr(bound, field.name), getattr(exact, field.name)
-                    assert np.array_equal(got, want), field.name
+    """Reducible models: the largest bound over the recurrent closures."""
 
     def test_block_diagonal_takes_max(self):
         adj = [
@@ -294,18 +281,18 @@ class TestGeneralUpperBound:
             [0, 0, 1, 1, 1],
             [0, 0, 1, 1, 1],
         ]
-        report = general_upper_bound(make_model(adj))
+        report = hausdorff_dimension(make_model(adj))
         assert report.dim == pytest.approx(log(3), abs=1e-10)
 
     def test_upper_triangular_zero(self):
-        report = general_upper_bound(make_model([[1, 1], [0, 1]]))
+        report = hausdorff_dimension(make_model([[1, 1], [0, 1]]))
         assert report.dim == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_rate_cycles(self):
         # 0<->1, 0->2, 2<->3: the closure of 0 holds two swap cycles growing
         # at the same rate, where power iteration on the whole closure
         # converges only like 1/n
-        report = general_upper_bound(
+        report = hausdorff_dimension(
             make_model([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
         )
         assert report.period == 2
@@ -319,7 +306,7 @@ class TestGeneralUpperBound:
         for parent, children in [(0, [1, 2]), (1, [0]), (2, [3, 6]), (3, [4]),
                                  (6, [4]), (4, [5]), (5, [2])]:
             adj[children, parent] = 1
-        report = general_upper_bound(make_model(adj.tolist()))
+        report = hausdorff_dimension(make_model(adj.tolist()))
         assert report.period == 2
         assert report.dim == pytest.approx(0.1155245301, abs=1e-9)
 
@@ -338,27 +325,27 @@ class TestSpectralBound:
     dim = log rho = log phi < h_top)."""
 
     def test_full_shift_equality(self, full2):
-        rep = general_upper_bound(full2)
+        rep = hausdorff_dimension(full2)
         assert _constant_column_sums(full2)
         assert rep.dim == pytest.approx(log(2), abs=1e-10)
         assert rep.log_rho_linear == pytest.approx(log(2), abs=1e-10)
 
     def test_period2_strict(self, period2):
-        rep = general_upper_bound(period2)
+        rep = hausdorff_dimension(period2)
         assert not _constant_column_sums(period2)
         assert rep.dim == pytest.approx(log(2) / 3, abs=1e-4)
         assert rep.log_rho_linear == pytest.approx(log(2) / 2, abs=1e-10)
         assert rep.dim < rep.log_rho_linear - 1e-6
 
     def test_golden_collapses_dim_but_not_entropy(self, golden):
-        rep = general_upper_bound(golden)
+        rep = hausdorff_dimension(golden)
         assert not _constant_column_sums(golden)
         assert rep.dim == pytest.approx(rep.log_rho_linear, abs=1e-6)
         assert abs(rep.h_top - rep.log_rho_linear) > 1e-9
 
     def test_predicate_matches_entropy_equality(self, full2, swap2, period2, golden):
         for model in (full2, swap2, period2, golden):
-            rep = general_upper_bound(model)
+            rep = hausdorff_dimension(model)
             assert rep.dim <= rep.log_rho_linear + 1e-9
             equal = abs(rep.h_top - rep.log_rho_linear) < 1e-9
             assert _constant_column_sums(model) == equal

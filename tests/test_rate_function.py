@@ -52,6 +52,12 @@ class TestChainValidation:
         w = np.array([[1.0, 0.0], [1.0, 0.0]])  # kills an adjacency edge
         with pytest.raises(ModelValidationError):
             parse_weighted({"M": m.tolist(), "A": w.tolist()}, golden)
+        # a negative entry off the support, where the column still sums to 1
+        for doc in ({"M": m.tolist(), "A": [[1.0, 2.0], [1.0, -3.0]]},
+                    {"M": [[0.5, 1.5], [0.5, -0.5]]}):
+            with pytest.raises(ModelValidationError) as err:
+                parse_weighted(doc, golden)
+            assert (err.value.row, err.value.col) == (1, 1)
 
     def test_column_sums_checked(self, golden):
         m = np.array([[0.5, 1.0], [0.6, 0.0]])
