@@ -26,7 +26,7 @@ def main():
     from treeshift.rate_function import parse_weighted
 
     chain, _ = parse_weighted(raw, model)
-    period = ts.find_a0_and_period(model)
+    period = model.structure
 
     worst = -inf
     total = 0
@@ -34,7 +34,7 @@ def main():
         size = ts.lattice_size(model.arity, n)
         for cls in enumerate_type_classes(chain, n, root=period.a0):
             lhs = cls.log_prob / size
-            bound = finite_rate(chain, n % period.period, n, cls.mean(chain), period)
+            bound = finite_rate(chain, n % period.period, n, cls.mean(chain))
             slack = lhs - bound
             worst = max(worst, slack)
             total += 1

@@ -31,12 +31,11 @@ NINE = [
 def example_one(csv_dir):
     print("== primitive 2-symbol chain with one weighted edge ==")
     chain = ts.chain_from_matrices([[0.5, 1.0], [0.5, 0.0]], [[1.0, 2.0], [1.0, 0.0]])
-    period = ts.find_a0_and_period(chain.base)
-    star = ts.lln_limit(chain, 0, period)
-    a1, a2 = ts.domain_endpoints(chain, 0, period)
+    star = ts.lln_limit(chain, 0)
+    a1, a2 = ts.domain_endpoints(chain, 0)
     print(f"  almost-sure limit : {star:.6f}  (= (1/3) log 2 = {log(2) / 3:.6f})")
     print(f"  finite rate domain: [{a1:.6f}, {a2:.6f}]  (upper = (2/3) log 2)")
-    curve = ts.rate_curve(chain, 0, n_points=200, period=period)
+    curve = ts.rate_curve(chain, 0, n_points=200)
     if csv_dir:
         out = Path(csv_dir) / "example1_rate.csv"
         with open(out, "w") as fh:
@@ -51,9 +50,8 @@ def example_two():
     print("== period-2 chain with alternating sample means ==")
     m = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
     chain = ts.chain_from_matrices(m, ts.reciprocal_on_support(m))
-    period = ts.find_a0_and_period(chain.base)
-    phases = [ts.lln_limit(chain, j, period) for j in range(2)]
-    lo, hi = ts.lln_beta_bounds(chain, np.array([0.5, 0.25, 0.25]), period)
+    phases = [ts.lln_limit(chain, j) for j in range(2)]
+    lo, hi = ts.lln_beta_bounds(chain, np.array([0.5, 0.25, 0.25]))
     print(f"  likelihood-decay phases: {phases[0]:.6f}, {phases[1]:.6f}")
     print(f"  expectation bounds     : [{lo:.6f}, {hi:.6f}]  (= (1/2) log 2)")
     model = chain.base

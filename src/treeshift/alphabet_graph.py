@@ -3,6 +3,8 @@
 Every structural question (the a0 reduction, a0 and its period, closures,
 the recurrent set, SCCs, irreducibility) is read from one dense boolean
 transitive closure, ``_reach``: alphabets are small, so no graph traversal.
+A model builds that closure once (``AdjacencyModel.reach``) and its period
+structure once (``AdjacencyModel.structure``); every layer reads those.
 
 Orientation convention, used everywhere in this package:
 
@@ -16,6 +18,7 @@ descendant chains from ``b`` down to ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log
 from typing import Sequence
 
@@ -81,6 +84,18 @@ class AdjacencyModel:
         sub = self.adjacency[np.ix_(keep, keep)]
         return AdjacencyModel(tuple(self.symbols[i] for i in keep), sub, self.arity)
 
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """The model's one closure ``_reach(adjacency)``, built once and read-only."""
+        reach = _reach(self.adjacency)
+        reach.setflags(write=False)
+        return reach
+
+    @cached_property
+    def structure(self) -> "PeriodStructure":
+        """a0, its period and the mod-p classes: ``find_a0_and_period``, computed once."""
+        return find_a0_and_period(self)
+
 
 @dataclass(frozen=True)
 class PeriodStructure:
@@ -95,8 +110,8 @@ class PeriodStructure:
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
 
-    def class_mask(self, j: int, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
+    def class_mask(self, j: int) -> np.ndarray:
+        mask = np.zeros(len(self.class_of), dtype=bool)
         mask[list(self.classes[j % self.period])] = True
         return mask
 
@@ -152,13 +167,12 @@ def _reach(adjacency: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _sccs(adjacency: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of the parent->child digraph.
+def _sccs(reach: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the parent->child digraph of closure ``reach``.
 
     Two symbols share a component when each reaches the other; the
     components are listed by their smallest member, each in ascending order.
     """
-    reach = _reach(adjacency)
     mutual = reach & reach.T
     leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
     return [np.flatnonzero(mutual[a]).tolist() for a in leaders]
@@ -176,7 +190,7 @@ def reduce_a0(model: AdjacencyModel) -> AdjacencyModel:
     tree; deleting them (to a fixpoint) leaves the tree-shift unchanged.  The
     fixpoint keeps exactly the symbols that reach a directed cycle.
     """
-    reach = _reach(model.adjacency)
+    reach = model.reach
     keep = np.flatnonzero(reach[:, _recurrent(model.adjacency, reach)].any(axis=1))
     if keep.size == 0:
         raise EmptyModel("every symbol was deleted: no column-positive submatrix exists")
@@ -199,7 +213,7 @@ def find_a0_and_period(model: AdjacencyModel, a0: int | None = None) -> PeriodSt
     adj = model.adjacency
     if not model.satisfies_a0():
         raise ModelValidationError("model has empty columns; call reduce_a0 first")
-    reach = _reach(adj)
+    reach = model.reach
     if a0 is None:
         generators = np.flatnonzero(reach.all(axis=1))
         if generators.size == 0:
@@ -240,15 +254,15 @@ def find_a0_and_period(model: AdjacencyModel, a0: int | None = None) -> PeriodSt
 
 def is_irreducible(model: AdjacencyModel) -> bool:
     """True when the parent->child digraph is strongly connected."""
-    return bool(_reach(model.adjacency).all())
+    return bool(model.reach.all())
 
 
 def reachability(model: AdjacencyModel) -> ReachabilityReport:
     """Descendant closures A^(a), the recurrent set, and the SCC list."""
-    reach = _reach(model.adjacency)
+    reach = model.reach
     closures = tuple(frozenset(np.flatnonzero(row).tolist()) for row in reach)
     recurrent = frozenset(np.flatnonzero(_recurrent(model.adjacency, reach)).tolist())
-    sccs = tuple(frozenset(c) for c in _sccs(model.adjacency))
+    sccs = tuple(frozenset(c) for c in _sccs(reach))
     return ReachabilityReport(closures, recurrent, sccs)
 
 
@@ -268,7 +282,7 @@ def linear_spectral_radius(
     if (w < 0).any():
         raise ModelValidationError("matrix must be nonnegative")
     best = -np.inf
-    for comp in _sccs(w > 0):
+    for comp in _sccs(_reach(w > 0)):
         rho = _perron_value(w[np.ix_(comp, comp)], tol, max_iter)
         best = max(best, log(rho) if rho > 0 else -np.inf)
     return best

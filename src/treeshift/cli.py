@@ -18,14 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .alphabet_graph import (
-    A1Violated,
-    find_a0_and_period,
-    is_irreducible,
-    model_from_dict,
-    reachability,
-    reduce_a0,
-)
+from .alphabet_graph import A1Violated, is_irreducible, model_from_dict, reachability, reduce_a0
 from .dimension import check_tolerance, hausdorff_dimension, optimal_markov_measure
 from .errors import (
     ModelParseError,
@@ -186,7 +179,7 @@ def analyze(model_file):
         payload["scc_list"] = [sorted(c) for c in rep.scc_list]
         payload["irreducible"] = is_irreducible(reduced)
         try:
-            period = find_a0_and_period(reduced)
+            period = reduced.structure
             payload["a1_holds"] = True
             payload["a0_symbol"] = reduced.symbols[period.a0]
             payload["period"] = period.period
@@ -230,6 +223,7 @@ def dimension(model_file, eigen_tol, scan_csv):
             "iterations": report.iterations,
             "gap": report.gap,
             "a0": report.a0,
+            "a0_symbol": reduced.symbols[report.a0],
             "period": report.period,
             "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
         }
@@ -283,17 +277,17 @@ def lln(model_file):
     def go():
         digest, data, _, reduced = _load(model_file)
         chain, pi = parse_weighted(data, reduced)
-        period = find_a0_and_period(reduced)
-        phases = [lln_limit(chain, j, period) for j in range(period.period)]
-        a1, a2 = domain_endpoints(chain, 0, period)
+        p = reduced.structure.period
+        phases = [lln_limit(chain, j) for j in range(p)]
+        a1, a2 = domain_endpoints(chain, 0)
         payload = {
-            "period": period.period,
+            "period": p,
             "alpha_star": phases,
             "alpha1": a1,
             "alpha2": a2,
         }
         if pi is not None:
-            lo, hi = lln_beta_bounds(chain, pi, period)
+            lo, hi = lln_beta_bounds(chain, pi)
             payload["beta_minus"] = lo
             payload["beta_plus"] = hi
         _emit(payload, "lln", digest, {}, started)
@@ -317,10 +311,9 @@ def simulate(model_file, seed, trials, depth, root, csv_path):
     def go():
         digest, data, _, reduced = _load(model_file)
         chain, _ = parse_weighted(data, reduced)
-        period = find_a0_and_period(reduced)
-        root_sym = period.a0 if root is None else root
+        root_sym = reduced.structure.a0 if root is None else root
         config = SampleConfig(depth=depth, trials=trials, seed=seed, root=root_sym)
-        report = lln_experiment(chain, config, period)
+        report = lln_experiment(chain, config)
         if csv_path:
             with open(csv_path, "w") as fh:
                 fh.write("trial,sample_mean\n")
@@ -356,7 +349,7 @@ def oracle(model_file, depth, root, class_guard, csv_path):
     def go():
         digest, data, _, reduced = _load(model_file)
         chain, _ = parse_weighted(data, reduced)
-        root_sym = root if root is not None else find_a0_and_period(reduced).a0
+        root_sym = root if root is not None else reduced.structure.a0
         classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
         dist = mean_distribution(chain, classes, depth, root_sym)
         if csv_path:

@@ -23,10 +23,8 @@ import numpy as np
 from .alphabet_graph import (
     AdjacencyModel,
     PeriodStructure,
-    _reach,
     _recurrent,
     _sccs,
-    find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
     reduce_a0,
@@ -189,7 +187,7 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     Symbols keep their indices, so the period structure of the whole model
     applies to every block.  An irreducible model is its own single block.
     """
-    sccs = _sccs(model.adjacency)
+    sccs = _sccs(model.reach)
     if len(sccs) == 1:
         return [model]
     inside = [np.isin(np.arange(model.n_symbols), comp) for comp in sccs]
@@ -491,7 +489,7 @@ def hausdorff_dimension(model: AdjacencyModel, eigen_tol: float = EIGEN_TOL) -> 
     """
     check_tolerance("eigen tolerance", eigen_tol)
     model = reduce_a0(model)
-    reach = _reach(model.adjacency)
+    reach = model.reach
     bases: dict[bytes, int] = {}  # each closure (a row of reach) once, with its smallest base
     for a in np.flatnonzero(_recurrent(model.adjacency, reach)):
         bases.setdefault(reach[a].tobytes(), int(a))
@@ -499,8 +497,10 @@ def hausdorff_dimension(model: AdjacencyModel, eigen_tol: float = EIGEN_TOL) -> 
     for a in bases.values():
         keep = np.flatnonzero(reach[a])
         sub = model if len(keep) == model.n_symbols else model.submodel(keep)
+        # a generator of the closure shares a's row, so it lies in a's SCC and
+        # is a base: the submodel's smallest generator, its a0, is a
         try:
-            period = find_a0_and_period(sub, a0=int(np.searchsorted(keep, a)))
+            period = sub.structure
         except ClassInconsistency:
             period = None
         bounds.append((_bound(sub, period, eigen_tol), a))
@@ -548,7 +548,7 @@ def optimal_markov_measure(
     check_tolerance("eigen tolerance", eigen_tol)
     if not is_irreducible(model):
         raise ModelValidationError("optimal measure needs an irreducible model")
-    period = find_a0_and_period(model)
+    period = model.structure
     pair = principal_eigenpair(model, period, report.argmin_r, class_index=0, tol=eigen_tol)
     m_star = np.zeros((model.n_symbols,) * 2)
     for children, parents, softmax, _ in _cycle_steps(
@@ -557,7 +557,7 @@ def optimal_markov_measure(
         m_star[np.ix_(children, parents)] = softmax.T
 
     chain = WeightedChainModel(model, m_star, reciprocal_on_support(m_star))
-    phases = tuple(lln_limit(chain, j, period) for j in range(period.period))
+    phases = tuple(lln_limit(chain, j) for j in range(period.period))
     validation = min(phases)
     if abs(validation - report.dim) > tol:
         raise ValidationFailed(
@@ -565,7 +565,7 @@ def optimal_markov_measure(
             expected=report.dim,
             got=validation,
         )
-    pi_star = stationary_class_vector(chain, period)
+    pi_star = stationary_class_vector(chain)
     return OptimalMeasure(
         M=m_star, pi=pi_star, phases=phases, validation_value=validation, dim=report.dim
     )

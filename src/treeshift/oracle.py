@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
+from .alphabet_graph import AdjacencyModel
 from .errors import ModelValidationError, TooLarge
 from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted_recursion
 from .tree_core import lattice_size
@@ -224,7 +224,7 @@ def enumerate_type_classes(
     if class_guard < 0:
         raise ModelValidationError(f"class guard must be >= 0, got {class_guard}")
     if root is None:
-        root = find_a0_and_period(model).a0
+        root = model.structure.a0
     elif not 0 <= root < n_sym:
         raise ModelValidationError(f"root {root} is not a symbol index below {n_sym}")
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
@@ -323,7 +323,7 @@ def exact_mean_distribution(
 ) -> MeanDistribution:
     """Aggregate type classes by their aggregated edge-count tensor."""
     if root is None:
-        root = find_a0_and_period(chain.base).a0
+        root = chain.base.structure.a0
     classes = enumerate_type_classes(chain, n, root, class_guard=class_guard)
     return mean_distribution(chain, classes, n, root)
 
@@ -362,13 +362,7 @@ def mean_distribution(
     return MeanDistribution(tuple(atoms), depth=n, root=root)
 
 
-def finite_rate(
-    chain: WeightedChainModel,
-    class_index: int,
-    n: int,
-    alpha: float,
-    period: PeriodStructure | None = None,
-) -> float:
+def finite_rate(chain: WeightedChainModel, class_index: int, n: int, alpha: float) -> float:
     """Finite-depth dual value F_{n,j}(alpha) = inf_mu -mu alpha + V_n(mu).
 
     V_n normalizes the n-step tilted recursion by the exact lattice size
@@ -377,10 +371,8 @@ def finite_rate(
     normalization the Chernoff bound gives weak duality against enumerated
     type classes with no tolerance at all, only float roundoff.
     """
-    if period is None:
-        period = find_a0_and_period(chain.base)
     total = float(lattice_size(chain.arity, n))
-    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
+    mask = chain.base.structure.class_mask(class_index - n)
 
     def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         top, slope = _tilted_recursion(chain, mu, n, mask)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alphabet_graph import AdjacencyModel, PeriodStructure, find_a0_and_period
+from .alphabet_graph import AdjacencyModel
 from .errors import ModelParseError, ModelValidationError, SupportViolation
 from .transfer_op import PRESSURE_TOL, _certified_depth, log_weights, psi
 
@@ -186,14 +186,11 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     runs a batch of K tilts (``mu[K]``, or edge tilts ``mu[K, n, n]``), each
     with its own depth ``n[K]`` and root mask ``mask[K, n_symbols]`` (a shared
     depth or mask broadcasts): x and dx are [K, n_symbols] arrays, the batch
-    runs to its largest depth and each row is read out at its own.  A single
-    tilt with an int depth and a 1-D mask gives two floats.
+    runs to its largest depth and each row is read out at its own.
     """
     d = chain.arity
     size = chain.base.n_symbols
-    log_e = tilted_matrix(chain, mu)
-    single = log_e.ndim == 2 and np.ndim(n) == 0 and np.ndim(mask) == 1
-    log_e = log_e.reshape((-1, size, size))
+    log_e = tilted_matrix(chain, mu).reshape((-1, size, size))
     rows = log_e.shape[0]
     depth = np.broadcast_to(n, rows)
     mask = np.broadcast_to(mask, (rows, size))
@@ -205,10 +202,7 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
         done = depth == k
         x_n[done], dx_n[done] = x[done], dx[done]
     root = np.where(mask, x_n, -np.inf).argmax(axis=1)
-    top, slope = x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
-    if single:
-        return float(top[0]), float(slope[0])
-    return top, slope
+    return x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
 
 
 def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[float, float]:
@@ -363,20 +357,19 @@ def _check_tol(tol: float) -> None:
         raise ModelValidationError(f"pressure tolerance must be finite and > 0, got {tol!r}")
 
 
-def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int,
-                   period: PeriodStructure, tol: float):
+def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, tol: float):
     """``pressure`` over a batch of tilts mu[K] (or mu[K, n, n]) in one recursion.
 
     Returns the arrays (value, slope, depth, error bound); each row keeps its
     own certified depth and class mask.
     """
     d = chain.arity
-    size = chain.base.n_symbols
+    period = chain.base.structure
     mu_scale = np.abs(mu) if mu.ndim == 1 else np.abs(mu).max(axis=(1, 2))
     scale = _recursion_constant(chain) * (mu_scale + 2.0)
     depths = [_certified_depth(s, d, tol) for s in scale]
     n = np.array(depths, dtype=int)
-    masks = np.array([period.class_mask(j, size) for j in range(period.period)])
+    masks = np.array([period.class_mask(j) for j in range(period.period)])
     top, slope = _tilted_recursion(chain, mu, n, masks[(class_index - n) % period.period])
     # Python's float powers: numpy's can differ from them in the last bit
     weight = np.array([(d - 1.0) / d ** (k + 1.0) for k in depths])
@@ -388,7 +381,6 @@ def pressure(
     chain: WeightedChainModel,
     mu: float,
     class_index: int = 0,
-    period: PeriodStructure | None = None,
     tol: float = PRESSURE_TOL,
 ) -> PressureResult:
     """Limit of the lambda-recursion for the tilted matrix, with certified error.
@@ -400,22 +392,20 @@ def pressure(
     root from the recursion's tangent.
     """
     _check_tol(tol)
-    if period is None:
-        period = find_a0_and_period(chain.base)
     value, slope, depth, bound = _pressure_rows(
-        chain, np.asarray(mu, dtype=float)[None], class_index, period, tol
+        chain, np.asarray(mu, dtype=float)[None], class_index, tol
     )
     return PressureResult(mu, float(value[0]), int(depth[0]), float(bound[0]), float(slope[0]))
 
 
 def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
-               period: PeriodStructure, endpoints: tuple[float, float], tol: float):
+               endpoints: tuple[float, float], tol: float):
     """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth."""
     passes, max_depth = 0, 0
 
     def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal passes, max_depth
-        value, slope, depth, _ = _pressure_rows(chain, mu, class_index, period, tol)
+        value, slope, depth, _ = _pressure_rows(chain, mu, class_index, tol)
         passes += 1
         max_depth = max(max_depth, int(depth.max(initial=0)))
         return value, slope
@@ -428,27 +418,18 @@ def rate(
     chain: WeightedChainModel,
     class_index: int,
     alpha: float,
-    period: PeriodStructure | None = None,
-    endpoints: tuple[float, float] | None = None,
     pressure_tol: float = PRESSURE_TOL,
 ) -> float:
     """Legendre-type dual sup_mu (mu alpha - pressure(mu)); +inf outside the domain."""
     _check_tol(pressure_tol)
-    if period is None:
-        period = find_a0_and_period(chain.base)
-    if endpoints is None:
-        endpoints = domain_endpoints(chain, class_index, period)
+    endpoints = domain_endpoints(chain, class_index)
     values = _dual_rows(
-        chain, class_index, np.array([alpha], dtype=float), period, endpoints, pressure_tol
+        chain, class_index, np.array([alpha], dtype=float), endpoints, pressure_tol
     )[0]
     return float(values[0])
 
 
-def domain_endpoints(
-    chain: WeightedChainModel,
-    class_index: int,
-    period: PeriodStructure | None = None,
-) -> tuple[float, float]:
+def domain_endpoints(chain: WeightedChainModel, class_index: int) -> tuple[float, float]:
     """Finiteness interval (alpha_1, alpha_2) of the rate: the pressure's asymptotic slopes.
 
     alpha_2 = lim P(mu)/mu as mu -> +inf is the max-plus recursion read out
@@ -456,11 +437,9 @@ def domain_endpoints(
     min-plus twin.  n is the first depth where max|log W| d^(-n) drops below
     PRESSURE_TOL, the a-priori bound on the readout's error.
     """
-    if period is None:
-        period = find_a0_and_period(chain.base)
     d = chain.arity
     n = _certified_depth(chain.log_w_max, d, PRESSURE_TOL)
-    mask = period.class_mask((class_index - n) % period.period, chain.base.n_symbols)
+    mask = chain.base.structure.class_mask(class_index - n)
     lo, hi = _extreme_sums(chain, n, mask)
     weight = (d - 1.0) / d ** (n + 1.0)
     return weight * lo, weight * hi
@@ -477,24 +456,20 @@ def _stationary_vector(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(system, np.eye(k + 1)[k], rcond=None)[0]
 
 
-def stationary_class_vector(chain: WeightedChainModel, period: PeriodStructure) -> np.ndarray:
+def stationary_class_vector(chain: WeightedChainModel) -> np.ndarray:
     """Probability eigenvector of M^p supported on class A_0, by a direct solve.
 
     M^p maps class A_0 into itself, so the solve runs on that block.
     """
-    n = chain.base.n_symbols
-    mask = period.class_mask(0, n)
+    period = chain.base.structure
+    mask = period.class_mask(0)
     block = np.linalg.matrix_power(chain.M, period.period)[np.ix_(mask, mask)]
-    y = np.zeros(n)
+    y = np.zeros(chain.base.n_symbols)
     y[mask] = _stationary_vector(block)
     return y
 
 
-def lln_limit(
-    chain: WeightedChainModel,
-    class_index: int = 0,
-    period: PeriodStructure | None = None,
-) -> float:
+def lln_limit(chain: WeightedChainModel, class_index: int = 0) -> float:
     """Almost-sure limit of sample means over depths congruent to j mod p.
 
     Level phases aggregate with weights d^(-i) / sum_l d^(-l); the edge layer
@@ -504,11 +479,9 @@ def lln_limit(
     closed-form period-2 model: phase j=0 must average an edge layer whose
     parents sit in class A_1.)
     """
-    if period is None:
-        period = find_a0_and_period(chain.base)
-    p = period.period
+    p = chain.base.structure.period
     d = chain.arity
-    pi0 = stationary_class_vector(chain, period)
+    pi0 = stationary_class_vector(chain)
     pis = [pi0]
     for k in range(1, p):
         pis.append(np.linalg.matrix_power(chain.M, p - k) @ pi0)
@@ -521,16 +494,11 @@ def lln_limit(
     )
 
 
-def lln_beta_bounds(
-    chain: WeightedChainModel,
-    pi: np.ndarray,
-    period: PeriodStructure | None = None,
-) -> tuple[float, float]:
+def lln_beta_bounds(chain: WeightedChainModel, pi: np.ndarray) -> tuple[float, float]:
     """liminf/limsup of the unconditional expected sample mean for initial law pi."""
-    if period is None:
-        period = find_a0_and_period(chain.base)
+    period = chain.base.structure
     p = period.period
-    alphas = [lln_limit(chain, j, period) for j in range(p)]
+    alphas = [lln_limit(chain, j) for j in range(p)]
     masses = [float(sum(pi[a] for a in period.classes[j])) for j in range(p)]
     totals = [
         sum(masses[j] * alphas[(i + j) % p] for j in range(p)) for i in range(p)
@@ -585,7 +553,6 @@ def rate_curve(
     class_index: int = 0,
     n_points: int = 200,
     margin: float | None = None,
-    period: PeriodStructure | None = None,
     pressure_tol: float = PRESSURE_TOL,
 ) -> RateCurve:
     """Evaluate the rate over a uniform grid clipped around its finite domain.
@@ -596,20 +563,17 @@ def rate_curve(
     if n_points < 0:
         raise ModelValidationError(f"need n_points >= 0, got {n_points}")
     _check_tol(pressure_tol)
-    if period is None:
-        period = find_a0_and_period(chain.base)
-    if not 0 <= class_index < period.period:
-        raise ModelValidationError(
-            f"class index must lie in [0, {period.period}), got {class_index}"
-        )
-    a1, a2 = domain_endpoints(chain, class_index, period)
+    p = chain.base.structure.period
+    if not 0 <= class_index < p:
+        raise ModelValidationError(f"class index must lie in [0, {p}), got {class_index}")
+    a1, a2 = domain_endpoints(chain, class_index)
     if margin is None:
         margin = max(0.05 * (a2 - a1), 0.01)
     alphas = np.linspace(a1 - margin, a2 + margin, n_points)
     values, argmax, passes, max_depth = _dual_rows(
-        chain, class_index, alphas, period, (a1, a2), pressure_tol
+        chain, class_index, alphas, (a1, a2), pressure_tol
     )
-    alpha_star = lln_limit(chain, class_index, period)
+    alpha_star = lln_limit(chain, class_index)
     return RateCurve(
         alphas=alphas, values=values, argmax_mu=argmax,
         alpha1=a1, alpha2=a2, alpha_star=alpha_star, class_index=class_index,

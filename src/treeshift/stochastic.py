@@ -19,7 +19,6 @@ from math import sqrt
 
 import numpy as np
 
-from .alphabet_graph import PeriodStructure, find_a0_and_period
 from .errors import ModelValidationError, TooLarge
 from .rate_function import WeightedChainModel, lln_limit
 from .tree_core import LabeledTree, TreeShape, lattice_size
@@ -188,20 +187,14 @@ class ExperimentReport:
     seed: int
 
 
-def lln_experiment(
-    chain: WeightedChainModel,
-    config: SampleConfig,
-    period: PeriodStructure | None = None,
-) -> ExperimentReport:
+def lln_experiment(chain: WeightedChainModel, config: SampleConfig) -> ExperimentReport:
     """Compare sampled running means against the almost-sure phase limits.
 
     Means at depths congruent to j mod p are tested against the phase-j
     limit; aperiodic chains get a single check at the full depth.  A
     standard error needs at least two trials.
     """
-    if period is None:
-        period = find_a0_and_period(chain.base)
-    p = period.period
+    p = chain.base.structure.period
     if config.trials < 2:
         raise ModelValidationError(
             f"a standard error needs two or more trials, got {config.trials}"
@@ -216,7 +209,7 @@ def lln_experiment(
     checks = []
     for j in range(p):
         depth = config.depth - (config.depth - j) % p  # the deepest level of phase j
-        target = lln_limit(chain, j, period)
+        target = lln_limit(chain, j)
         col = depth_means[:, depth]
         c_emp = float(col.mean())
         c_se = float(col.std(ddof=1) / sqrt(config.trials))

@@ -26,7 +26,7 @@ from math import floor, log
 
 import numpy as np
 
-from .alphabet_graph import AdjacencyModel, PeriodStructure, _reach, _recurrent
+from .alphabet_graph import AdjacencyModel, PeriodStructure, _recurrent
 from .errors import BadExponent, EmptyModel, NoConvergence
 
 EIGEN_TOL = 1e-11
@@ -177,7 +177,7 @@ def _eigen_rows(
         raise BadExponent(f"need {p} exponents per row, got shape {r.shape}")
     log_adj = log_weights(model.adjacency)
     j = class_index % p
-    members = [np.flatnonzero(period.class_mask(j - i, n)) for i in range(p + 1)]
+    members = [np.flatnonzero(period.class_mask(j - i)) for i in range(p + 1)]
     blocks = [log_adj[np.ix_(members[i], members[i + 1])] for i in range(p)]
     cone = members[0]
 
@@ -269,7 +269,7 @@ def entropy_iterate(model: AdjacencyModel) -> EntropySequence:
     its descendants' by up to |A| levels, an excess near d^|A| that the
     bound does not cover.
     """
-    reach = _reach(model.adjacency)
+    reach = model.reach
     cycle = _recurrent(model.adjacency, reach)
     core = np.flatnonzero(reach[:, cycle].any(axis=1) & reach[cycle].any(axis=0))
     if core.size == 0:

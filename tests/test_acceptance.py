@@ -107,9 +107,8 @@ class TestCriterion1:
 class TestCriterion2:
     def test_example1_rate_curve(self, example1_chain):
         """Rate finite exactly on [0, (2/3)log2], zero at (1/3)log2, convex."""
-        period = find_a0_and_period(example1_chain.base)
         started = time.perf_counter()
-        curve = rate_curve(example1_chain, 0, n_points=200, period=period)
+        curve = rate_curve(example1_chain, 0, n_points=200)
         elapsed = time.perf_counter() - started
         with criterion(2, "Example-1 rate function") as info:
             resolution = 5e-3
@@ -120,7 +119,7 @@ class TestCriterion2:
                     assert np.isfinite(v), f"rate should be finite at {a}"
                 if a < lo - resolution or a > hi + resolution:
                     assert v == inf, f"rate should be +inf at {a}"
-            at_star = rate(example1_chain, 0, LOG2 / 3, period)
+            at_star = rate(example1_chain, 0, LOG2 / 3)
             assert at_star == pytest.approx(0.0, abs=1e-4)
             finite = np.isfinite(curve.values)
             assert curve.values[finite].min() >= -1e-8
@@ -154,10 +153,9 @@ class TestCriterion4:
         # the dimension certificate is stated in
         m = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
         chain = chain_from_matrices(m, reciprocal_on_support(m), d=2)
-        period = find_a0_and_period(chain.base)
         with criterion(4, "extreme example phases") as info:
-            phases = sorted(lln_limit(chain, j, period) for j in range(2))
-            lo, hi = lln_beta_bounds(chain, np.array([0.5, 0.25, 0.25]), period)
+            phases = sorted(lln_limit(chain, j) for j in range(2))
+            lo, hi = lln_beta_bounds(chain, np.array([0.5, 0.25, 0.25]))
             info["detail"] = f"phases={np.round(phases, 8).tolist()} beta=({lo:.8f}, {hi:.8f})"
             assert phases[0] == pytest.approx(LOG2 / 3, abs=1e-8)
             assert phases[1] == pytest.approx(2 * LOG2 / 3, abs=1e-8)
@@ -239,16 +237,13 @@ class TestCriterion7:
                 assert isinstance(total, Fraction) and total == 1
                 exact_total = total
 
-            period = find_a0_and_period(example1_chain.base)
             worst = -inf
             n_checked = 0
             for n in (1, 2, 3, 4):
                 size = lattice_size(2, n)
                 for cls in enumerate_type_classes(example1_chain, n, root=0):
                     lhs = cls.log_prob / size
-                    bound = finite_rate(
-                        example1_chain, 0, n, cls.mean(example1_chain), period
-                    )
+                    bound = finite_rate(example1_chain, 0, n, cls.mean(example1_chain))
                     worst = max(worst, lhs - bound)
                     n_checked += 1
             info["detail"] = (
@@ -315,9 +310,8 @@ class TestCriterion9:
                     np.array([[0.0, 1, 1], [0.5, 0, 0], [0.5, 0, 0]]), d=2
                 ),
             ):
-                per = find_a0_and_period(chain.base)
                 vals = [
-                    pressure(chain, float(mu), 0, per).value
+                    pressure(chain, float(mu), 0).value
                     for mu in np.linspace(-5, 5, 41)
                 ]
                 worst_cx = min(worst_cx, float(np.diff(vals, 2).min()))

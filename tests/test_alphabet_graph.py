@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from math import gcd, log, sqrt
 
 import numpy as np
@@ -258,6 +259,46 @@ class TestReduce:
         again = reduce_a0(reduced)
         assert again.symbols == reduced.symbols
         assert np.array_equal(again.adjacency, reduced.adjacency)
+
+
+class TestCachedStructure:
+    def test_reach_is_read_only(self, nine):
+        with pytest.raises(ValueError):
+            nine.reach[0, 0] = False
+        with pytest.raises(FrozenInstanceError):
+            nine.reach = np.ones((9, 9), dtype=bool)
+        assert not nine.reach.flags.writeable
+
+    def test_built_once(self, period2):
+        assert period2.reach is period2.reach
+        assert period2.structure is period2.structure
+        assert period2.structure == find_a0_and_period(period2)
+
+    @given(
+        st.integers(2, 8),
+        st.sampled_from([0.15, 0.3, 0.5]),
+        st.integers(0, 2**36 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_smallest_base_is_the_closure_a0(self, n, density, seed):
+        # hausdorff_dimension takes each closure's labeling from the submodel's
+        # own structure, where it used to force a0 to the closure's smallest
+        # base; at these densities about half of the (A0) models are reducible
+        rng = np.random.default_rng(seed)
+        try:
+            model = reduce_a0(make_model((rng.random((n, n)) < density).astype(int).tolist()))
+        except EmptyModel:
+            return
+        rows: dict[bytes, int] = {}
+        for a in sorted(reachability(model).recurrent):
+            rows.setdefault(model.reach[a].tobytes(), a)
+        for a in rows.values():
+            keep = np.flatnonzero(model.reach[a])
+            sub = model.submodel(keep)
+            structure = _outcome(find_a0_and_period, sub)
+            assert structure == _outcome(find_a0_and_period, sub, int(np.searchsorted(keep, a)))
+            if isinstance(structure, PeriodStructure):
+                assert keep[structure.a0] == a
 
 
 class TestPeriod:

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from treeshift import alphabet_graph
 from treeshift.cli import _emit, _sanitize, main
+
+from conftest import NINE_ADJACENCY
 
 EXAMPLE1 = {
     "symbols": ["0", "1"],
@@ -48,6 +51,11 @@ REDUCIBLE_PERIOD2 = {
     "adjacency": [[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
     "d": 2,
 }
+
+# x has no child, so the (A0) reduction leaves y, z
+CHILDLESS_X = {"symbols": ["x", "y", "z"], "adjacency": [[0, 1, 0], [0, 1, 1], [0, 1, 1]], "d": 2}
+
+NINE = {"symbols": [f"s{i}" for i in range(9)], "adjacency": NINE_ADJACENCY, "d": 3}
 
 # 0<->1, 0->2, 2<->3: two 2-cycles growing at the same rate
 EQUAL_RATE_CYCLES = {
@@ -199,6 +207,27 @@ class TestDimension:
         payload = run_json(["dimension", write_model(EQUAL_RATE_CYCLES)])
         assert payload["method"] == "upper_bound_general"
         assert payload["dim"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_a0_symbol_names_the_reduced_index(self, write_model):
+        # a0 indexes the reduced alphabet: 0 is y there, x in the file
+        path = write_model(CHILDLESS_X)
+        payload = run_json(["dimension", path])
+        assert payload["a0"] == 0
+        assert payload["a0_symbol"] == "y" == run_json(["analyze", path])["a0_symbol"]
+
+    @pytest.mark.parametrize("command, model", [("dimension", NINE), ("measure", EXAMPLE2_ADJ)])
+    def test_closure_built_once_per_model(self, write_model, monkeypatch, command, model):
+        # the model's own closure, and the one linear_spectral_radius builds on W > 0
+        builds = []
+        build = alphabet_graph._reach
+
+        def counted(adjacency):
+            builds.append(len(adjacency))
+            return build(adjacency)
+
+        monkeypatch.setattr(alphabet_graph, "_reach", counted)
+        run_json([command, write_model(model)])
+        assert len(builds) <= 2
 
 
 class TestRate:

@@ -301,9 +301,8 @@ class TestExactMeanDistribution:
 
     def test_log_probability_trend_toward_rate(self, example1):
         # (1/|L(n)|) log P(mean near alpha) drifts toward -rate(alpha)
-        period = find_a0_and_period(example1.base)
         alpha = 0.35
-        target = -rate(example1, 0, alpha, period)
+        target = -rate(example1, 0, alpha)
         gaps = []
         for n in (2, 3, 4, 5):
             dist = exact_mean_distribution(example1, n, root=0)
@@ -315,36 +314,32 @@ class TestExactMeanDistribution:
 
 class TestFiniteRate:
     def test_weak_duality_no_violations(self, example1):
-        period = find_a0_and_period(example1.base)
         for n in (1, 2, 3, 4):
             size = lattice_size(2, n)
             for cls in enumerate_type_classes(example1, n, root=0):
                 lhs = cls.log_prob / size
-                bound = finite_rate(example1, 0, n, cls.mean(example1), period)
+                bound = finite_rate(example1, 0, n, cls.mean(example1))
                 assert lhs <= bound + 1e-9
 
     def test_optimum_approaches_zero_from_below(self, example1):
         # F_n at the asymptotic limit is nonpositive (mu = 0 gives 0) and the
         # finite-depth bias decays to 0; at depth 12 it is within 1e-6
-        period = find_a0_and_period(example1.base)
-        star = lln_limit(example1, 0, period)
-        values = [finite_rate(example1, 0, n, star, period) for n in (2, 4, 8, 12)]
+        star = lln_limit(example1, 0)
+        values = [finite_rate(example1, 0, n, star) for n in (2, 4, 8, 12)]
         assert all(v <= 1e-12 for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] >= -1e-6
 
     def test_converges_to_dual_of_rate(self, example1):
-        period = find_a0_and_period(example1.base)
         alpha = 0.3
-        target = -rate(example1, 0, alpha, period)
-        gap_small = abs(finite_rate(example1, 0, 6, alpha, period) - target)
-        gap_large = abs(finite_rate(example1, 0, 18, alpha, period) - target)
+        target = -rate(example1, 0, alpha)
+        gap_small = abs(finite_rate(example1, 0, 6, alpha) - target)
+        gap_large = abs(finite_rate(example1, 0, 18, alpha) - target)
         assert gap_large < gap_small
         assert gap_large < 1e-4
 
     def test_unreachable_alpha_is_minus_infinity(self, example1):
-        period = find_a0_and_period(example1.base)
-        assert finite_rate(example1, 0, 3, 5.0, period) == -inf
+        assert finite_rate(example1, 0, 3, 5.0) == -inf
 
 
 class TestDualityScript:

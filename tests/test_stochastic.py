@@ -11,7 +11,6 @@ from treeshift import (
     SampleConfig,
     chain_from_matrices,
     empirical_pair,
-    find_a0_and_period,
     lln_experiment,
     sample_tree,
     validate_admissible,
@@ -281,9 +280,8 @@ class TestLlnExperiment:
         assert abs(check.empirical - check.target) <= 3 * check.stderr
 
     def test_extreme_parity_separation(self, extreme):
-        period = find_a0_and_period(extreme.base)
         cfg = SampleConfig(depth=13, trials=8, seed=6)
-        report = lln_experiment(extreme, cfg, period)
+        report = lln_experiment(extreme, cfg)
         targets = {c.phase: c for c in report.phase_checks}
         assert targets[0].target == pytest.approx(-log(2) / 3, abs=1e-12)
         assert targets[1].target == pytest.approx(-2 * log(2) / 3, abs=1e-12)
