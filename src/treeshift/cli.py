@@ -221,6 +221,7 @@ def dimension(model_file, eigen_tol, scan_csv):
             "log_rho_linear": report.log_rho_linear,
             "method": report.method,
             "iterations": report.iterations,
+            "eigen_iterations": report.eigen_iterations,
             "gap": report.gap,
             "a0": report.a0,
             "a0_symbol": reduced.symbols[report.a0],

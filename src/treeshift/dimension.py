@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .rate_function import (
 )
 from .transfer_op import (
     EIGEN_TOL,
+    _class_blocks,
+    _cycle,
+    _cycle_factors,
     _eigen_rows,
     entropy_iterate,
-    log_weights,
     principal_eigenpair,
-    psi,
 )
 
 SIMPLEX_TOL = 1e-12
@@ -112,6 +114,8 @@ class DimensionReport:
     method: str
     # lattice points scanned plus objective-and-gradient evaluations
     iterations: int
+    # cycle evaluations summed over every eigen solve behind the report
+    eigen_iterations: int
     # the Frank-Wolfe gap at the argmin, a bound on dim - (true minimum);
     # 0.0 where no search runs
     gap: float
@@ -142,7 +146,7 @@ def _objective(blocks, period: PeriodStructure, points, class_index: int, eigen_
     recursion applies to class-j vectors) and the matching coefficient is the
     bijection component q_{p-j}; that pairing makes the value independent of
     j, to roundoff.  A point scores the largest value over the blocks
-    (``.max(axis=0)``), each block's power iteration starting from its entry
+    (``.max(axis=0)``), each block's eigen solve starting from its entry
     of ``starts`` (None: the class indicator, [n] or [K, n]: logs).
     """
     p = period.period
@@ -154,6 +158,11 @@ def _objective(blocks, period: PeriodStructure, points, class_index: int, eigen_
     # coef > 0, so a collapsed cone (log_rho = -inf) scores -inf
     log_rho = np.array([[pair.log_rho for pair in row] for row in pairs])
     return coef * log_rho, pairs
+
+
+def _eigen_iterations(pairs) -> int:
+    """The cycle evaluations of an ``_objective`` call's eigen solves."""
+    return sum(pair.iterations for row in pairs for pair in row)
 
 
 def _simplex_grid(p: int, step_denom: int):
@@ -195,44 +204,26 @@ def _cyclic_blocks(model: AdjacencyModel) -> list[AdjacencyModel]:
     return [AdjacencyModel(model.symbols, adj, model.arity) for adj in masked if adj.any()]
 
 
-def _cycle_steps(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> list[tuple]:
-    """The steps of the cone-0 cycle from ``x`` (logs, -inf off support).
+def _log_rho_gradient(blocks, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d log rho / d r_i of the cone-0 cycle at its eigenvector ``x`` (logs on the cone).
 
-    Step i sends x_i to x_{i+1} = r_i z_i, z_i = log(A^T exp(x_i)).  For each
-    step this returns the children (the support of x_i), the parents (that of
-    z_i), the row-stochastic softmax S_i [parents, children] of the step, and
-    z_i on the parents.  The step's Jacobian is J_i = r_i S_i.
+    ``blocks`` are the cycle's ``_class_blocks``.  The cycle is additively
+    homogeneous, so at the eigenvector its Jacobian J (``_cycle_factors``)
+    is row-stochastic on the support and d log rho = pi^T dL for the left
+    Perron vector pi of J there: d log rho / d r_i = pi^T J_{p-1} ... J_{i+1} z_i,
+    with J_i = r_i P_i^T and z_i the log sum of step i.
     """
-    children = np.flatnonzero(np.isfinite(x))
-    x = x[children]
-    steps = []
-    for r_i in r:
-        nxt = psi(log_adj[children], float(r_i), x)
-        parents = np.flatnonzero(np.isfinite(nxt))
-        z = nxt[parents] / r_i
-        softmax = np.exp(log_adj[np.ix_(children, parents)] + x[:, None] - z).T
-        steps.append((children, parents, softmax, z))
-        children, x = parents, nxt[parents]
-    return steps
-
-
-def _log_rho_gradient(log_adj: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d log rho / d r_i of the cone-0 cycle at its eigenvector ``x`` (see ``_cycle_steps``).
-
-    The cycle is additively homogeneous, so at the eigenvector its Jacobian
-    J = J_{p-1} ... J_0 is row-stochastic and d log rho = pi^T dL for the
-    left Perron vector pi of J: d log rho / d r_i = pi^T J_{p-1} ... J_{i+1} z_i.
-    """
-    steps = _cycle_steps(log_adj, r, x)
-    jac = np.eye(len(steps[-1][1]))
-    for r_i, (_, _, softmax, _) in zip(r, steps):
-        jac = r_i * softmax @ jac
-    adjoint = _stationary_vector(jac.T)
+    _, parts = _cycle(blocks, r, x)
+    laws, jac_t = _cycle_factors(parts)
+    support = np.isfinite(x)
+    adjoint = np.zeros(len(x))
+    adjoint[support] = _stationary_vector(jac_t[np.ix_(support, support)])
     grad = np.empty(len(r))
     for i in reversed(range(len(r))):
-        _, _, softmax, z = steps[i]
-        grad[i] = adjoint @ z
-        adjoint = r[i] * softmax.T @ adjoint
+        z = parts[i][0]
+        # a parent without support has z = -inf and no adjoint weight
+        grad[i] = adjoint @ np.where(np.isfinite(z), z, 0.0)
+        adjoint = r[i] * laws[i] @ adjoint
     return grad
 
 
@@ -240,11 +231,12 @@ def _gradients(blocks, period: PeriodStructure, points: np.ndarray, starts, eige
     """Each block's objective and its gradient in s at each point, from one eigen loop per block.
 
     Returns values [K, B], gradients [K, B, p], each point's noise (the
-    widest eigenvalue bracket times the coefficient) and, per block, the
-    eigenvectors [K, n].  The objective q_0 log rho(r) extends to the
-    positive orthant with degree 1 (q is linear in s and r only reads its
-    ratios), so the gradient satisfies g . s = f, and the chain rule runs
-    through q = C s and r_i = q_i / q_{i+1}.
+    widest eigenvalue bracket times the coefficient), per block the
+    eigenvectors [K, n], and the eigen solves' cycle evaluations.  The
+    objective q_0 log rho(r) extends to the positive orthant with degree 1
+    (q is linear in s and r only reads its ratios), so the gradient
+    satisfies g . s = f, and the chain rule runs through q = C s and
+    r_i = q_i / q_{i+1}.
     """
     p, d = period.period, blocks[0].arity
     params = [simplex_to_ratios(s, d, p) for s in points]
@@ -256,18 +248,20 @@ def _gradients(blocks, period: PeriodStructure, points: np.ndarray, starts, eige
     grads = np.zeros((len(points), len(blocks), p))
     noise = np.zeros(len(points))
     for b, (block, row) in enumerate(zip(blocks, pairs)):
-        log_adj = log_weights(block.adjacency)
+        members, cycle = _class_blocks(block, period, 0)
         for k, pair in enumerate(row):
             if pair.log_rho == -np.inf:
                 continue
-            g_r = q[k, 0] * _log_rho_gradient(log_adj, r[k], pair.eigvec) / q[k, nxt]
+            x = pair.eigvec[members[0]]
+            g_r = q[k, 0] * _log_rho_gradient(cycle, r[k], x) / q[k, nxt]
             g_q = g_r.copy()
             g_q[0] += pair.log_rho
             np.add.at(g_q, nxt, -g_r * r[k])
             grads[k, b] = c_mat.T @ g_q
             # the bracket's width, or rounding where the bracket closed tighter
             noise[k] = max(noise[k], q[k, 0] * pair.residual, 1e-15 * abs(values[b, k]))
-    return values.T, grads, noise, [np.array([pair.eigvec for pair in row]) for row in pairs]
+    warm = [np.array([pair.eigvec for pair in row]) for row in pairs]
+    return values.T, grads, noise, warm, _eigen_iterations(pairs)
 
 
 def _newton_step(hess: np.ndarray, values: np.ndarray, grads: np.ndarray, lam, free, pivot):
@@ -334,12 +328,15 @@ def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
     search stops when the gap is below GAP_TOL, or when no step can lower f
     by more than the eigenvalue brackets' noise; there one more step is
     taken only while it halves the gap without raising f past the noise.
-    Every power iteration starts from the eigenvectors at the current point.
-    Returns the minimum, its point, the number of points evaluated and the gap.
+    Every eigen solve starts from the eigenvectors at the current point.
+    Returns the minimum, its point, the number of points evaluated, the
+    gap, and the eigen solves' cycle evaluations.
     """
     p = period.period
     evaluated = 1
-    (values,), (grads,), (noise,), warm = _gradients(blocks, period, s[None], warm, eigen_tol)
+    (values,), (grads,), (noise,), warm, cycles = _gradients(
+        blocks, period, s[None], warm, eigen_tol
+    )
     lam = (values == values.max()).astype(float)
     lam /= lam.sum()
     while True:
@@ -356,8 +353,9 @@ def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
         cols = np.flatnonzero((face | enter) & (np.arange(p) != pivot))
         # g is degree-0 homogeneous: g(s + h e_k) is g at that point normalized
         shifted = (s + FD_STEP * np.eye(p)[cols]) / (1.0 + FD_STEP)
-        _, fd_grads, _, _ = _gradients(blocks, period, shifted, warm, eigen_tol)
+        _, fd_grads, _, _, fd_cycles = _gradients(blocks, period, shifted, warm, eigen_tol)
         evaluated += len(cols)
+        cycles += fd_cycles
         hess = np.zeros((len(blocks), p, p))
         hess[:, :, cols] = np.moveaxis(fd_grads - grads, 0, -1) / FD_STEP
         # H s = 0 gives the pivot's column from the face's others
@@ -374,7 +372,9 @@ def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
             break
         live = values > -np.inf
         shrink = step < 0
-        t_face = (s[shrink] / -step[shrink]).min(initial=np.inf)
+        ratio = np.full(p, np.inf)
+        ratio[shrink] = s[shrink] / -step[shrink]
+        t_face = ratio.min()
         t = first = min(1.0, t_face)
         while True:
             # the change the blocks' linear models predict at t (<= 0 on descent)
@@ -386,14 +386,17 @@ def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
                 accept = False
                 break
             x = s + t * step
-            if t == t_face:  # land exactly on the face
-                x[shrink & (s <= -t * step)] = 0.0
+            if t == t_face:
+                # land exactly on the face: s + t step can leave the coordinate
+                # that set t_face a rounding above 0, and the next t_face near 0
+                x[(ratio == t_face) | (shrink & (s <= -t * step))] = 0.0
             x = np.clip(x, 0.0, None)
             x /= x.sum()
-            (new_values,), (new_grads,), (new_noise,), new_warm = _gradients(
+            (new_values,), (new_grads,), (new_noise,), new_warm, new_cycles = _gradients(
                 blocks, period, x[None], warm, eigen_tol
             )
             evaluated += 1
+            cycles += new_cycles
             new_f = new_values.max()
             if -model <= noise:
                 # below the noise: keep the step only for a gap it halves
@@ -406,7 +409,22 @@ def _refine(blocks, period: PeriodStructure, s: np.ndarray, warm, eigen_tol):
         if not accept:
             break
         s, values, grads, noise, warm = x, new_values, new_grads, new_noise, new_warm
-    return float(values.max()), s, evaluated, float(max(gap, 0.0))
+    return float(values.max()), s, evaluated, float(max(gap, 0.0)), cycles
+
+
+class _Bound(NamedTuple):
+    """The dimension formula's value on one model (``_search``, ``_bound``)."""
+
+    dim: float
+    s: np.ndarray
+    # lattice points plus objective-and-gradient evaluations
+    evaluations: int
+    # the Frank-Wolfe gap at ``s``; 0.0 where no search runs
+    gap: float
+    # cycle evaluations summed over the eigen solves
+    eigen_iterations: int
+    # the lattice points scanned and the objective at each
+    scan: tuple[np.ndarray, np.ndarray]
 
 
 def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
@@ -415,12 +433,11 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     The scan covers the simplex lattice of ``_scan_denominator(p)``, one
     batched eigen loop per block, and ``_refine`` starts at its best point
     with that point's eigenvectors.  A point scores the largest objective
-    over the model's cyclic SCC blocks (one block when irreducible).  Power
-    iteration on a reducible closure whose blocks grow at the same rate
-    converges like 1/n (a Jordan block), while each block alone converges
-    geometrically.  Returns the minimum, its simplex point, the iteration
-    count (lattice points plus objective-and-gradient evaluations), the
-    Frank-Wolfe gap there, and the lattice points with their objective values.
+    over the model's cyclic SCC blocks (one block when irreducible).  On a
+    reducible closure whose blocks grow at the same rate the cycle's
+    Jacobian has a Jordan block: its Newton system is singular and power
+    iteration converges like 1/n, while each block alone converges fast.
+    Returns the ``_Bound``.
     """
     p = period.period
     points = np.array(list(_simplex_grid(p, _scan_denominator(p))))
@@ -429,8 +446,10 @@ def _search(model: AdjacencyModel, period: PeriodStructure, eigen_tol):
     values = values.max(axis=0)
     best = int(np.argmin(values))
     warm = [row[best].eigvec for row in pairs]
-    dim, s, evaluated, gap = _refine(blocks, period, points[best], warm, eigen_tol)
-    return dim, s, len(points) + evaluated, gap, (points, values)
+    dim, s, evaluated, gap, cycles = _refine(blocks, period, points[best], warm, eigen_tol)
+    return _Bound(
+        dim, s, len(points) + evaluated, gap, _eigen_iterations(pairs) + cycles, (points, values)
+    )
 
 
 def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
@@ -444,27 +463,7 @@ def _bound(model: AdjacencyModel, period: PeriodStructure | None, eigen_tol):
     if period is not None and period.period > 1:
         return _search(model, period, eigen_tol)
     value = linear_spectral_radius(model.adjacency.T.astype(float))
-    return value, np.array([1.0]), 0, 0.0, (np.array([[1.0]]), np.array([value]))
-
-
-def _report(model: AdjacencyModel, bound, class_values, method: str, a0: int):
-    """The report of a ``_bound`` result on ``model``, with the entropy of ``model``."""
-    dim, s, evals, gap, (grid_s, grid_values) = bound
-    return DimensionReport(
-        dim=float(dim),
-        argmin_r=simplex_to_ratios(s, model.arity, len(s)).r,
-        argmin_s=np.asarray(s, dtype=float),
-        class_values=class_values,
-        h_top=entropy_iterate(model).h_top,
-        log_rho_linear=linear_spectral_radius(model.adjacency.T.astype(float)),
-        method=method,
-        iterations=evals,
-        gap=float(gap),
-        a0=int(a0),
-        period=len(s),
-        grid_s=grid_s,
-        grid_values=grid_values,
-    )
+    return _Bound(value, np.array([1.0]), 0, 0.0, 0, (np.array([[1.0]]), np.array([value])))
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -503,17 +502,38 @@ def hausdorff_dimension(model: AdjacencyModel, eigen_tol: float = EIGEN_TOL) -> 
             period = sub.structure
         except ClassInconsistency:
             period = None
-        bounds.append((_bound(sub, period, eigen_tol), a))
-    (dim, s_star, _, gap, scan), a = max(bounds, key=lambda item: item[0][0])
-    bound = (dim, s_star, sum(b[2] for b, _ in bounds), gap, scan)
-    if not reach.all():
-        return _report(model, bound, (float(dim),), "upper_bound_general", a)
-    # the one closure is the model, and ``period`` its labeling; the linear
-    # bound (p = 1) is its own one value
-    class_values = (dim,) if period.period == 1 else tuple(
-        dim_objective(model, period, s_star, j, eigen_tol) for j in range(period.period)
+        bounds.append((_bound(sub, period, eigen_tol), a, sub is model))
+    best, a, whole = max(bounds, key=lambda item: item[0].dim)
+    cycles = sum(bound.eigen_iterations for bound, _, _ in bounds)
+    class_values = (float(best.dim),)
+    if reach.all() and period.period > 1:
+        # the one closure is the model, and ``period`` its labeling
+        class_values = ()
+        for j in range(period.period):
+            values, pairs = _objective([model], period, [best.s], j, eigen_tol, [None])
+            class_values += (float(values[0, 0]),)
+            cycles += _eigen_iterations(pairs)
+    # the model's own linear bound (p = 1, or no labeling) is its linear radius
+    linear = best.dim if whole and len(best.s) == 1 else linear_spectral_radius(
+        model.adjacency.T.astype(float)
     )
-    return _report(model, bound, class_values, "exact_irreducible", a)
+    grid_s, grid_values = best.scan
+    return DimensionReport(
+        dim=float(best.dim),
+        argmin_r=simplex_to_ratios(best.s, model.arity, len(best.s)).r,
+        argmin_s=np.asarray(best.s, dtype=float),
+        class_values=class_values,
+        h_top=entropy_iterate(model).h_top,
+        log_rho_linear=linear,
+        method="exact_irreducible" if reach.all() else "upper_bound_general",
+        iterations=sum(bound.evaluations for bound, _, _ in bounds),
+        eigen_iterations=cycles,
+        gap=float(best.gap),
+        a0=a,
+        period=len(best.s),
+        grid_s=grid_s,
+        grid_values=grid_values,
+    )
 
 
 @dataclass(frozen=True)
@@ -537,9 +557,9 @@ def optimal_markov_measure(
 
     A parent b sends mass to child a in proportion to A[a, b] exp(x[a]), with
     x the cone-0 cycle's iterate on b's children, started at the eigenvector
-    of the minimizing exponents: column b of M* is b's row of the softmax of
-    that cycle step (``_cycle_steps``), the factor that the derivative of
-    log rho reads.  (The support restriction to A and the per-parent
+    of the minimizing exponents: column b of M* is b's column of that cycle
+    step's law (``_cycle_factors``), the factor that the derivative of log
+    rho reads.  (The support restriction to A and the per-parent
     normalization are a corrected reading of the construction; correctness
     is certified numerically instead: the smallest likelihood-decay phase of
     the built chain must reproduce the dimension.)
@@ -550,11 +570,11 @@ def optimal_markov_measure(
         raise ModelValidationError("optimal measure needs an irreducible model")
     period = model.structure
     pair = principal_eigenpair(model, period, report.argmin_r, class_index=0, tol=eigen_tol)
+    members, cycle = _class_blocks(model, period, 0)
+    _, parts = _cycle(cycle, report.argmin_r, pair.eigvec[members[0]])
     m_star = np.zeros((model.n_symbols,) * 2)
-    for children, parents, softmax, _ in _cycle_steps(
-        log_weights(model.adjacency), report.argmin_r, pair.eigvec
-    ):
-        m_star[np.ix_(children, parents)] = softmax.T
+    for i, law in enumerate(_cycle_factors(parts)[0]):
+        m_star[np.ix_(members[i], members[i + 1])] = law
 
     chain = WeightedChainModel(model, m_star, reciprocal_on_support(m_star))
     phases = tuple(lln_limit(chain, j) for j in range(period.period))

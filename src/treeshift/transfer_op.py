@@ -15,13 +15,18 @@ makes the per-cone objective values agree (see ``dimension``).
 ``psi`` is the one log-sum-exp step of the package.  It takes a batch (a
 leading axis on the matrix, the vector, or both, and one exponent per row if
 wanted) and, on request, carries a forward tangent; the rate function's
-tilted recursion runs on it too.  The power iteration is one loop over a
-batch of exponent vectors (``_eigen_rows``); ``principal_eigenpair`` is its
-single-row call.  Eigenvectors are plain log arrays.
+tilted recursion runs on it too.  Its core ``_lse`` also hands out the
+step's softmax weights, from which ``_cycle_factors`` builds the cycle's
+Jacobian.  The eigen solve is one loop over a batch of exponent vectors
+(``_eigen_rows``): Newton steps on L(x) - x - lam 1 = 0 with that Jacobian,
+each kept only where it narrows the Collatz-Wielandt bracket, and shifted
+power steps otherwise; ``principal_eigenpair`` is its single-row call.
+Eigenvectors are plain log arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import floor, log
 
 import numpy as np
@@ -70,20 +75,31 @@ def psi(log_w: np.ndarray, s, log_x: np.ndarray, dlog_w=None, dx=None):
     """
     if not isinstance(s, np.ndarray) and s <= 0:
         raise BadExponent(f"exponent must be positive, got {s}")
-    x = np.asarray(log_x, dtype=float)
-    z = log_w + x[..., :, None]
-    peak = z.max(axis=-2, keepdims=True, initial=-np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        peak = np.where(peak > -np.inf, peak, 0.0)
-        z -= peak
-        weight = np.exp(z, out=z)
-        total = weight.sum(axis=-2, keepdims=True)
-        x = s * (peak + np.log(total))[..., 0, :]
+        z, weight, total = _lse(log_w, log_x)
+        x = s * z
         if dlog_w is None:
             return x
         # softmax from its own sum, not exp(z - lse): at large weights the
         # rounding of the lse is no longer small against 1 and would compound
         return x, s * (weight / total * (dlog_w + dx[..., :, None])).sum(axis=-2)
+
+
+def _lse(log_w: np.ndarray, log_x) -> tuple:
+    """``psi``'s log sum z[b] = log sum_a w[a,b] x[a] at s = 1, with its softmax parts.
+
+    Also returns the weights w[a,b] x[a] / max_a(w[a,b] x[a]) [..., m, n] and
+    their column sums [..., 1, n]; a column with no support has total 0 and
+    z = -inf, so callers run it under ``np.errstate(divide="ignore")``.
+    """
+    x = np.asarray(log_x, dtype=float)
+    z = log_w + x[..., :, None]
+    peak = z.max(axis=-2, keepdims=True, initial=-np.inf)
+    peak = np.where(peak > -np.inf, peak, 0.0)
+    z -= peak
+    weight = np.exp(z, out=z)
+    total = weight.sum(axis=-2, keepdims=True)
+    return (peak + np.log(total))[..., 0, :], weight, total
 
 
 def _check_exponents(r: np.ndarray, d: int) -> np.ndarray:
@@ -130,20 +146,96 @@ def principal_eigenpair(
     tol: float = EIGEN_TOL,
     max_iter: int = EIGEN_MAX_ITER,
 ) -> EigenPair:
-    """Power iteration for the cone-restricted principal eigenpair.
+    """The cone-restricted principal eigenpair, by safeguarded Newton steps.
 
     Starts from the indicator of the class and brackets the eigenvalue with
     the Collatz-Wielandt bounds min/max of (L(x) - x) over the support, once
     the cycle maps that support onto itself.  The bracket is valid for
     order-preserving homogeneous maps, which the cycle is.  The first step,
-    and any step that shrinks the support, is x -> L(x); every later step
-    is x -> x + L(x) (logaddexp in log domain), renormalized.  The shift by
-    the identity makes the iteration aperiodic: without it, a cone whose
-    p-step cycle permutes sub-classes (a cyclic block whose own period is a
-    multiple of p) never settles.
+    and any step that shrinks the support, is x -> L(x).  From a point with
+    an invariant support the next point is the Newton step on
+    L(x) - x - lam 1 = 0, which the next evaluation keeps only if it narrows
+    the bracket.  Otherwise, or where the Newton system is singular, the
+    step is the shifted one x -> x + L(x) (logaddexp in log domain) from the
+    kept point, renormalized.  The shift by the identity makes that power
+    iteration aperiodic: without it, a cone whose p-step cycle permutes
+    sub-classes (a cyclic block whose own period is a multiple of p) never
+    settles.  The eigenvector reported is the kept point whose bracket
+    closed below ``tol``.
     """
     r = np.asarray(r, dtype=float)
     return _eigen_rows(model, period, r[None], class_index, tol, max_iter)[0]
+
+
+def _class_blocks(model: AdjacencyModel, period: PeriodStructure, j: int):
+    """The classes the cycle on cone j visits, and the log adjacency block of each step.
+
+    Step i maps class j - i onto class j - i - 1, so it runs on
+    log A[members[i], members[i + 1]]; members[p] is the cone, members[0].
+    """
+    p = period.period
+    log_adj = log_weights(model.adjacency)
+    members = [np.flatnonzero(period.class_mask(j - i)) for i in range(p + 1)]
+    return members, [log_adj[np.ix_(members[i], members[i + 1])] for i in range(p)]
+
+
+def _cycle(blocks, steps, x: np.ndarray):
+    """The cycle from ``x`` [..., m_0] over ``_class_blocks``: L(x) and each step's ``_lse`` parts.
+
+    Step i sends x_i to x_{i+1} = r_i z_i with exponent ``steps[i]`` (a
+    scalar, or [K, 1] per row), as ``psi`` does, bit for bit.
+    """
+    parts = []
+    with np.errstate(divide="ignore"):
+        for w, s in zip(blocks, steps):
+            z, weight, total = _lse(w, x)
+            parts.append((z, weight, total))
+            x = s * z
+    return x, parts
+
+
+def _cycle_factors(parts):
+    """Each step's law P_i [..., m_i, m_{i+1}] and the cycle's transposed Jacobian.
+
+    P_i[a, b] = A[a, b] exp(x_i[a] - z_i[b]) is the softmax of step i, a
+    child's law given its parent b (0 in a column without support); it is
+    the weights of ``parts``, normalized in place.  Step i's Jacobian is
+    J_i = r_i P_i^T and the r_i multiply to 1, so J^T = P_0 P_1 ... P_{p-1}
+    [..., m_0, m_0], row-stochastic on an invariant support.  The product is
+    a stacked matmul, so a batch row equals a lone call, bit for bit.
+    """
+    laws = [np.divide(weight, total, out=weight, where=total > 0) for _, weight, total in parts]
+    return laws, reduce(np.matmul, laws)
+
+
+def _newton_points(x: np.ndarray, lx: np.ndarray, parts) -> np.ndarray:
+    """The Newton step on F(x, lam) = L(x) - x - lam 1 = 0 from each row of ``x`` [K, c].
+
+    J is row-stochastic, so J - I has the null vector 1: the step holds the
+    row's largest coordinate (delta = 0 there) and that column of J - I
+    carries -lam instead, one solve of [K, c, c] for the K rows.  Off the
+    support the rows of J are 0 and the right side is set to 0, so x stays
+    -inf there.  Returns x + delta, nan in a row whose system is singular.
+    """
+    _, jac_t = _cycle_factors(parts)
+    k, c = x.shape
+    system = np.swapaxes(jac_t, -1, -2)
+    system -= np.eye(c)
+    pin = x.argmax(axis=1)
+    system[np.arange(k), :, pin] = -1.0
+    rhs = np.where(np.isfinite(x), x - lx, 0.0)[..., None]
+    try:
+        delta = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular row fails the stack: solve the rows one by one
+        delta = np.full((k, c), np.nan)
+        for row in range(k):
+            try:
+                delta[row] = np.linalg.solve(system[row], rhs[row])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    delta[np.arange(k), pin] = 0.0  # that entry held lam
+    return x + delta
 
 
 def _eigen_rows(
@@ -163,22 +255,26 @@ def _eigen_rows(
     indicator as the first iterate.  The bracket stays a certificate from
     any start whose support is the cone's, such as an eigenvector of the
     same cone at other exponents.  A row that reaches ``max_iter`` raises
-    ``NoConvergence`` with its own bracket and best pair.
+    ``NoConvergence`` with its own bracket and kept pair.
 
-    Step i of the cycle maps class j - i onto class j - i - 1, so it runs
-    ``psi`` on that block of the matrix, and the loop keeps only the class-j
-    entries of its vectors.  The normalizing sum still runs over all n
-    entries (zeros off the class), so it adds the same terms in the same
-    order as on the full vector.
+    Each row keeps the point with its bracket: a power step's point is
+    always kept, a Newton point only when its bracket is narrower than the
+    kept one.  So the bracket is a certificate of the reported vector, and a
+    rejected Newton point costs one evaluation.  The Jacobian of a Newton
+    step is built only for the rows that take one, from the softmax weights
+    of the evaluation that kept their point (``_cycle_factors``).
+
+    The loop runs ``_cycle`` on the class blocks (``_class_blocks``) and
+    keeps only the class-j entries of its vectors.  The normalizing sum
+    still runs over all n entries (zeros off the class), so it adds the same
+    terms in the same order as on the full vector.
     """
     p, n = period.period, model.n_symbols
     r = _check_exponents(r, model.arity)
     if r.ndim != 2 or r.shape[1] != p:
         raise BadExponent(f"need {p} exponents per row, got shape {r.shape}")
-    log_adj = log_weights(model.adjacency)
     j = class_index % p
-    members = [np.flatnonzero(period.class_mask(j - i)) for i in range(p + 1)]
-    blocks = [log_adj[np.ix_(members[i], members[i + 1])] for i in range(p)]
+    members, blocks = _class_blocks(model, period, j)
     cone = members[0]
 
     def full(v: np.ndarray) -> np.ndarray:
@@ -187,52 +283,64 @@ def _eigen_rows(
         return out
 
     x = np.broadcast_to(0.0 if start is None else start[..., cone], (len(r), len(cone)))
+    kept, kept_lx = x, x
     rotation = (p - j) % p
     # steps[i] holds every row's exponent for step i of the cycle, as [K, 1]
     steps = r.T[[(rotation + i) % p for i in range(p)], :, None]
     rows = np.arange(len(r))
     lo = hi = np.full(len(r), np.nan)
+    newton = np.zeros(len(r), dtype=bool)  # x is a Newton point on trial
     terms = np.zeros((len(r), n))
     pairs: list[EigenPair | None] = [None] * len(r)
     with np.errstate(invalid="ignore"):
         for it in range(1, max_iter + 1):
-            lx = x
-            for w, s in zip(blocks, steps):
-                lx = psi(w, s, lx)
+            lx, parts = _cycle(blocks, steps, x)
             # off the support both are -inf and the difference is nan, which
             # fmin/fmax skip; a support that changes leaves an infinite one
             diffs = lx - x
             lo_it, hi_it = np.fmin.reduce(diffs, axis=1), np.fmax.reduce(diffs, axis=1)
-            invariant = np.isfinite(hi_it - lo_it)
-            if invariant.all():
-                lo, hi = lo_it, hi_it
-                y = np.logaddexp(x, lx) if it > 1 else lx
-            else:
-                lo, hi = np.where(invariant, lo_it, lo), np.where(invariant, hi_it, hi)
-                y = np.where(invariant[:, None] & (it > 1), np.logaddexp(x, lx), lx)
-            top = y.max(axis=1, keepdims=True)
-            terms[:, cone] = np.exp(y - top)
-            x = y - (top + np.log(terms.sum(axis=1, keepdims=True)))
+            # a Newton point is kept only if it narrows the kept bracket (a
+            # support it changes leaves a nan or infinite width, which does not)
+            take = ~newton | (hi_it - lo_it < hi - lo)
+            kept = np.where(take[:, None], x, kept)
+            kept_lx = np.where(take[:, None], lx, kept_lx)
+            lo, hi = np.where(take, lo_it, lo), np.where(take, hi_it, hi)
             # a row whose cone collapses (eigenvalue 0) has no support left
-            collapsed = top[:, 0] == -np.inf
+            collapsed = kept_lx.max(axis=1) == -np.inf
             stop = (hi - lo < tol) | collapsed
-            if not stop.any():
-                continue
             for k in np.flatnonzero(stop):
                 if collapsed[k]:
-                    pair = EigenPair(-np.inf, full(lx[k]), j, it, 0.0)
+                    pair = EigenPair(-np.inf, full(kept_lx[k]), j, it, 0.0)
                 else:
                     width = float(hi[k] - lo[k])
-                    pair = EigenPair(float(0.5 * (lo[k] + hi[k])), full(x[k]), j, it, width)
+                    pair = EigenPair(float(0.5 * (lo[k] + hi[k])), full(kept[k]), j, it, width)
                 pairs[rows[k]] = pair
             if stop.all():
                 return pairs
-            keep = ~stop
-            x, steps, rows, lo, hi, terms = (
-                x[keep], steps[:, keep], rows[keep], lo[keep], hi[keep], terms[keep]
-            )
+            live = np.flatnonzero(~stop)
+            if stop.any():
+                kept, kept_lx, lo, hi, take, rows, terms = (
+                    kept[live], kept_lx[live], lo[live], hi[live], take[live], rows[live],
+                    terms[live],
+                )
+                steps = steps[:, live]
+            invariant = np.isfinite(hi - lo)
+            y = np.where(invariant[:, None] & (it > 1), np.logaddexp(kept, kept_lx), kept_lx)
+            newton = take & invariant
+            if newton.any():
+                trial = live[newton]
+                if len(trial) < len(stop):
+                    parts = [(z[trial], w[trial], t[trial]) for z, w, t in parts]
+                step = _newton_points(kept[newton], kept_lx[newton], parts)
+                ok = np.isfinite(np.where(np.isfinite(kept[newton]), step, 0.0)).all(axis=1)
+                y[newton] = np.where(ok[:, None], step, y[newton])
+                newton[newton] = ok
+            del parts  # the next evaluation builds its own
+            top = y.max(axis=1, keepdims=True)
+            terms[:, cone] = np.exp(y - top)
+            x = y - (top + np.log(terms.sum(axis=1, keepdims=True)))
     lo, hi = float(lo[0]), float(hi[0])
-    best = EigenPair(0.5 * (lo + hi), full(x[0]), j, max_iter, hi - lo)
+    best = EigenPair(0.5 * (lo + hi), full(kept[0]), j, max_iter, hi - lo)
     raise NoConvergence(
         f"eigen bracket width {hi - lo:.3e} after {max_iter} iterations",
         bracket=(lo, hi),

@@ -28,6 +28,16 @@ def make_model(adjacency, d=2):
     return AdjacencyModel(tuple(str(i) for i in range(n)), adjacency, d)
 
 
+def ring_model(n):
+    """A slow-mixing period-2 ring: child i + 1 under parent i (mod n), and
+    the one chord 0 -> 3, for even n.  Its cycles have lengths n and n - 2,
+    so the eigenvalue gap of its transfer cycle shrinks as n grows."""
+    adj = np.zeros((n, n), dtype=int)
+    adj[(np.arange(n) + 1) % n, np.arange(n)] = 1
+    adj[3, 0] = 1
+    return make_model(adj.tolist())
+
+
 @pytest.fixture(scope="session")
 def full2():
     return make_model([[1, 1], [1, 1]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from treeshift import alphabet_graph
+from treeshift import alphabet_graph, dimension
 from treeshift.cli import _emit, _sanitize, main
 
 from conftest import NINE_ADJACENCY
@@ -228,6 +228,32 @@ class TestDimension:
         monkeypatch.setattr(alphabet_graph, "_reach", counted)
         run_json([command, write_model(model)])
         assert len(builds) <= 2
+
+    def test_p1_solves_linear_radius_once(self, write_model, monkeypatch):
+        # the p = 1 bound is the model's linear radius, which the report reuses
+        builds, solves = [], []
+        build, solve = alphabet_graph._reach, dimension.linear_spectral_radius
+
+        def counted_build(adjacency):
+            builds.append(len(adjacency))
+            return build(adjacency)
+
+        def counted_solve(w):
+            solves.append(len(w))
+            return solve(w)
+
+        monkeypatch.setattr(alphabet_graph, "_reach", counted_build)
+        monkeypatch.setattr(dimension, "linear_spectral_radius", counted_solve)
+        payload = run_json(["dimension", write_model(EXAMPLE1)])
+        assert payload["period"] == 1
+        assert payload["log_rho_linear"] == payload["dim"]
+        assert payload["eigen_iterations"] == 0
+        assert (len(solves), len(builds)) == (1, 2)
+
+    def test_reports_eigen_iterations(self, write_model):
+        payload = run_json(["dimension", write_model(NINE)])
+        # every search point runs at least one cycle on each of its solves
+        assert payload["eigen_iterations"] >= payload["iterations"] > 0
 
 
 class TestRate:

@@ -21,7 +21,7 @@ from treeshift.errors import BadExponent, EmptyModel, NoConvergence
 from treeshift.oracle import block_counts
 from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
-from conftest import make_model, periodic_model, periodic_models, random_a0_matrix
+from conftest import make_model, periodic_model, periodic_models, random_a0_matrix, ring_model
 
 NEG_INF = float("-inf")
 
@@ -215,6 +215,16 @@ class TestEigenpair:
             resid = np.abs(y[sup] - pair.log_rho - pair.eigvec[sup]).max()
             assert resid < 10 * 1e-11
 
+    def test_slow_mixing_ring_converges(self):
+        # a shifted power iteration takes over 10^4 cycles on this ring
+        ring = ring_model(120)
+        period = find_a0_and_period(ring)
+        assert period.period == 2
+        for r0 in (0.7, 1.0, 1.5):
+            pair = principal_eigenpair(ring, period, [r0, 1 / r0])
+            assert pair.iterations <= 20
+            assert pair.residual < EIGEN_TOL
+
     def test_matches_linear_radius_for_primitive(self):
         rng = np.random.default_rng(505)
         found = 0
@@ -240,7 +250,52 @@ def _random_exponents(rng, model, period, k):
                      for _ in range(k)])
 
 
+def shifted_power_bracket(model, period, r, class_index, tol=EIGEN_TOL, max_iter=10**6):
+    """The Collatz-Wielandt bracket of a plain shifted power iteration on cone j.
+
+    From the class indicator, x -> L(x) while the cycle changes the support,
+    then x -> log(exp(x) + exp(L(x))), normalized, until the bracket
+    min/max of L(x) - x over the support is narrower than ``tol``.
+    """
+    p = period.period
+    rotation = (p - class_index) % p
+    x = np.where(period.class_mask(class_index), 0.0, -np.inf)
+    for _ in range(max_iter):
+        lx = apply_l(model, r, x, rotation)
+        support = np.isfinite(x)
+        if not np.isfinite(lx).any():
+            return -np.inf, -np.inf
+        if np.array_equal(np.isfinite(lx), support):
+            diffs = lx[support] - x[support]
+            if diffs.max() - diffs.min() < tol:
+                return diffs.min(), diffs.max()
+            lx = np.logaddexp(x, lx)
+        x = lx - np.logaddexp.reduce(lx)
+    raise AssertionError(f"reference bracket still open after {max_iter} cycles")
+
+
+def _within_reference(model, period, r, class_index):
+    pair = principal_eigenpair(model, period, r, class_index)
+    lo, hi = shifted_power_bracket(model, period, r, class_index)
+    if lo == -np.inf:
+        assert pair.log_rho == -np.inf
+        return
+    assert pair.residual < EIGEN_TOL
+    # both brackets hold the eigenvalue, and the pair's value is its
+    # bracket's midpoint
+    slack = 0.5 * pair.residual + 1e-14 * max(1.0, abs(pair.log_rho))
+    assert lo - slack <= pair.log_rho <= hi + slack
+
+
 class TestEigenRows:
+    @given(periodic_models, st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_within_shifted_power_bracket(self, args, j):
+        model, period = periodic_model(*args, max_symbols=8)
+        rng = np.random.default_rng(args[0])
+        for r in _random_exponents(rng, model, period, 3):
+            _within_reference(model, period, r, j % period.period)
+
     # random irreducible models of 2-6 symbols and period 2-4
     @given(periodic_models, st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -276,13 +331,16 @@ class TestEigenRows:
         assert period.period == 2
         rng = np.random.default_rng(3)
         for block in _cyclic_blocks(model):
-            _warm_matches_cold(block, period, _random_exponents(rng, model, period, 12))
+            r = _random_exponents(rng, model, period, 12)
+            _warm_matches_cold(block, period, r)
+            for r_k in r:
+                _within_reference(block, period, r_k, 0)
 
     def test_open_row_at_max_iter_raises_its_own_bracket(self, nine):
         period = find_a0_and_period(nine)
         r = _random_exponents(np.random.default_rng(5), nine, period, 8)
         counts = [principal_eigenpair(nine, period, r_k).iterations for r_k in r]
-        cap = sorted(counts)[len(counts) // 2]
+        cap = min(counts)
         first_open = next(k for k, c in enumerate(counts) if c > cap)
         with pytest.raises(NoConvergence) as batch:
             _eigen_rows(nine, period, r, max_iter=cap)
