@@ -29,7 +29,7 @@ from .errors import (
     TreeShiftError,
     ValidationFailed,
 )
-from .oracle import enumerate_type_classes, mean_distribution
+from .oracle import enumerate_type_classes, exact_mean_distribution
 from .rate_function import (
     domain_endpoints,
     lln_beta_bounds,
@@ -352,7 +352,7 @@ def oracle(model_file, depth, root, class_guard, csv_path):
         chain, _ = parse_weighted(data, reduced)
         root_sym = root if root is not None else reduced.structure.a0
         classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
-        dist = mean_distribution(chain, classes, depth, root_sym)
+        dist = exact_mean_distribution(chain, depth, root_sym)
         if csv_path:
             with open(csv_path, "w") as fh:
                 fh.write("mean,probability\n")

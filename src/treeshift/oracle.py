@@ -1,4 +1,5 @@
-"""Exact ground truth at tiny scale: block counts, type classes, finite-n duality.
+"""Exact ground truth at tiny scale: block counts, type classes, the law of the
+sample mean, finite-n duality.
 
 Counting conventions.  A type class fixes the per-level symbol counts N^(i)
 and the per-level edge counts k^(i)[a, b] (children labeled a under parents
@@ -27,7 +28,6 @@ from .errors import ModelValidationError, TooLarge
 from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted_recursion
 from .tree_core import lattice_size
 
-LIST_GUARD = 10**8
 CLASS_GUARD = 10**6
 
 
@@ -47,62 +47,6 @@ def block_counts(model: AdjacencyModel, n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class BlockCounts:
-    counts: tuple[int, ...]
-    total: int
-    trees: tuple[tuple[int, ...], ...] | None
-
-
-def enumerate_blocks(
-    model: AdjacencyModel,
-    n: int,
-    root: int | None = None,
-    want_list: bool = False,
-    list_guard: int = LIST_GUARD,
-) -> BlockCounts:
-    """Counts via the exact recursion, plus an optional explicit listing.
-
-    The recursion is unbounded; the listing is guarded by ``list_guard`` and
-    raises TooLarge beyond it.
-    """
-    counts = block_counts(model, n)
-    if root is not None:
-        total = counts[root]
-    else:
-        total = sum(counts)
-    trees = None
-    if want_list:
-        if total > list_guard:
-            raise TooLarge(f"{total} trees exceed the listing guard {list_guard}")
-        roots = [root] if root is not None else list(range(model.n_symbols))
-        trees = tuple(
-            tree for r in roots for tree in _list_trees(model, n, r)
-        )
-    return BlockCounts(tuple(counts), total, trees)
-
-
-def _list_trees(model: AdjacencyModel, n: int, root: int) -> list[tuple[int, ...]]:
-    """Admissible depth-n labelings in BFS order, root fixed.
-
-    Grows every tree one level at a time, each held as its flat labeling so
-    far and its last level, whose slots pick the next level's labels.
-    """
-    d = model.arity
-    children = [tuple(int(a) for a in model.children_of(b)) for b in range(model.n_symbols)]
-
-    def levels_under(last: tuple[int, ...]):
-        return itertools.product(*[children[b] for b in last for _ in range(d)])
-
-    if n == 0:
-        return [(root,)]
-    layer = [((root,), (root,))]
-    for _ in range(n - 1):
-        layer = [(prefix + level, level) for prefix, last in layer for level in levels_under(last)]
-    # the deepest level needs no pairs, only the flat trees
-    return [tree for prefix, last in layer for tree in map(prefix.__add__, levels_under(last))]
-
-
-@dataclass(frozen=True)
 class TypeClass:
     """All labeled trees sharing the same level counts and edge counts."""
 
@@ -119,24 +63,6 @@ class TypeClass:
         for k in self.edges:
             out += np.asarray(k, dtype=np.int64)
         return out
-
-    def empirical_pair(self, model: AdjacencyModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Implied level distributions and transitions (adjacency fallback columns)."""
-        d = model.arity
-        adj = model.adjacency.astype(float)
-        fallback = adj / adj.sum(axis=0, keepdims=True)
-        taus = []
-        etas = []
-        for i, level in enumerate(self.levels):
-            nvec = np.asarray(level, dtype=float)
-            taus.append(nvec / nvec.sum())
-            if i < len(self.edges):
-                kmat = np.asarray(self.edges[i], dtype=float)
-                eta = fallback.copy()
-                present = nvec > 0
-                eta[:, present] = kmat[:, present] / (d * nvec[present])
-                etas.append(eta)
-        return taus, etas
 
     def mean(self, chain: WeightedChainModel) -> float:
         """Exact sample-mean value shared by every member of the class."""
@@ -160,12 +86,6 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> int:
     for k in parts:
         out //= math.factorial(k)
     return out
-
-
-def _exact_sum(values: list[Fraction]) -> Fraction:
-    """Sum over one common denominator: one reduction instead of one per term."""
-    den = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def _compositions(total: int, parts: int):
@@ -194,6 +114,17 @@ def _exact_fractions(chain: WeightedChainModel) -> list[list[Fraction]] | None:
     return fr
 
 
+def _checked_root(model: AdjacencyModel, n: int, root: int | None) -> int:
+    """The root symbol (a0 by default), after checking it and the depth."""
+    if n < 0:
+        raise ModelValidationError(f"depth must be >= 0, got {n}")
+    if root is None:
+        return model.structure.a0
+    if not 0 <= root < model.n_symbols:
+        raise ModelValidationError(f"root {root} is not a symbol index below {model.n_symbols}")
+    return root
+
+
 class _Column(NamedTuple):
     """One choice of the edge counts k[:, b] under the parents labeled b."""
 
@@ -213,20 +144,17 @@ def enumerate_type_classes(
     """Every integer count system consistent with depth n and the given root.
 
     One pass: the recursion carries each class's count, edge log-probability
-    and exact probability down the levels, multiplying in one column choice
-    per parent symbol; the choices are built once per (b, N_b).
+    and exact probability down the levels.  The transitions out of a level are
+    built once per count vector N: each is one column choice per parent symbol,
+    with its edge matrix, the next level's counts, and the products of the
+    choices' multinomials, probabilities and log terms.
     """
     model = chain.base
     d = model.arity
     n_sym = model.n_symbols
-    if n < 0:
-        raise ModelValidationError(f"depth must be >= 0, got {n}")
     if class_guard < 0:
         raise ModelValidationError(f"class guard must be >= 0, got {class_guard}")
-    if root is None:
-        root = model.structure.a0
-    elif not 0 <= root < n_sym:
-        raise ModelValidationError(f"root {root} is not a symbol index below {n_sym}")
+    root = _checked_root(model, n, root)
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
     fractions = _exact_fractions(chain)
     log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0).tolist()
@@ -248,6 +176,24 @@ def enumerate_type_classes(
             out.append(_Column(tuple(counts), _multinomial(d * parents, comp), log_terms, num, den))
         return out
 
+    @functools.cache
+    def steps(nvec: tuple[int, ...]) -> list[tuple]:
+        """Every transition out of a level with counts ``nvec``, as
+        (kmat, next_n, multinomial, num, den, log-probability)."""
+        out = []
+        for combo in itertools.product(*[columns(b, nb) for b, nb in enumerate(nvec)]):
+            kmat = tuple(zip(*[col.counts for col in combo]))
+            mult = num = den = 1
+            for col in combo:
+                mult *= col.multinomial
+                num *= col.num
+                den *= col.den
+            # terms by parent, then child, summed from 0: the float order of a
+            # per-class sum (the zero terms of absent parents change no bit)
+            dlog = sum(itertools.chain.from_iterable(col.log_terms for col in combo))
+            out.append((kmat, tuple(map(sum, kmat)), mult, num, den, dlog))
+        return out
+
     results: list[TypeClass] = []
 
     def rec(nvec, levels, edges, count, log_prob_edges, num, den):
@@ -264,18 +210,9 @@ def enumerate_type_classes(
             if len(results) > class_guard:
                 raise TooLarge(f"more than {class_guard} type classes at depth {n}")
             return
-        for combo in itertools.product(*[columns(b, nb) for b, nb in enumerate(nvec)]):
-            kmat = tuple(zip(*[col.counts for col in combo]))
-            next_n = tuple(map(sum, kmat))
-            c, p, q = count, num, den
-            for col in combo:
-                c *= col.multinomial
-                p *= col.num
-                q *= col.den
-            # terms by parent, then child, summed from 0: the float order of a
-            # per-class sum (the zero terms of absent parents change no bit)
-            dlog = sum(itertools.chain.from_iterable(col.log_terms for col in combo))
-            rec(next_n, levels + (next_n,), edges + (kmat,), c, log_prob_edges + dlog, p, q)
+        for kmat, next_n, mult, p, q, dlog in steps(nvec):
+            rec(next_n, levels + (next_n,), edges + (kmat,), count * mult,
+                log_prob_edges + dlog, num * p, den * q)
 
     start = tuple(1 if a == root else 0 for a in range(n_sym))
     rec(start, (start,), (), 1, 0.0, 1, 1)
@@ -316,50 +253,95 @@ class MeanDistribution:
 
 
 def exact_mean_distribution(
-    chain: WeightedChainModel,
-    n: int,
-    root: int | None = None,
-    class_guard: int = CLASS_GUARD,
+    chain: WeightedChainModel, n: int, root: int | None = None
 ) -> MeanDistribution:
-    """Aggregate type classes by their aggregated edge-count tensor."""
-    if root is None:
-        root = chain.base.structure.a0
-    classes = enumerate_type_classes(chain, n, root, class_guard=class_guard)
-    return mean_distribution(chain, classes, n, root)
+    """The law of the depth-n sample mean, from the offspring generating function.
 
+    G_m(b) generates the weighted-edge counts of a depth-m subtree rooted at b
+    (the multitype branching-process recursion; Harris, 1963):
 
-def mean_distribution(
-    chain: WeightedChainModel, classes: list[TypeClass], n: int, root: int
-) -> MeanDistribution:
-    """Group the depth-n type classes of ``root`` by their weighted edge counts."""
-    total_nodes = lattice_size(chain.arity, n)
+        G_0(b) = 1,    G_m(b) = (sum_a M[a, b] z^{e(a, b)} G_{m-1}(a))^d,
+
+    where e(a, b) is the unit exponent of edge (a, b) when log W[a, b] != 0,
+    and 0 otherwise.  Each monomial of G_n(root) is one atom: its exponents
+    are the atom's key, its coefficient the atom's probability.  For dyadic M
+    the coefficients of G_m are integers over D^(|Lambda(m)| - 1), D the lcm
+    of M's denominators, so every probability is exact; otherwise they are
+    floats.  A polynomial with more than CLASS_GUARD terms raises TooLarge.
+    """
+    model = chain.base
+    root = _checked_root(model, n, root)
+    n_sym = model.n_symbols
     log_w = chain.log_w
-    weighted_edges = [
-        (a, b) for a in range(chain.base.n_symbols)
-        for b in range(chain.base.n_symbols) if log_w[a, b] != 0.0
+    weighted_edges = [(a, b) for a in range(n_sym) for b in range(n_sym) if log_w[a, b] != 0.0]
+    total_nodes = lattice_size(chain.arity, n)
+    # exponents packed as the digits of one integer in base |Lambda(n)|, which
+    # exceeds every edge count: multiplying two monomials adds their keys
+    digit = {edge: total_nodes**i for i, edge in enumerate(weighted_edges)}
+    fractions = _exact_fractions(chain)
+    if fractions is None:
+        weight, den = chain.M.tolist(), 1
+    else:
+        den = math.lcm(*(f.denominator for row in fractions for f in row))
+        weight = [[f.numerator * (den // f.denominator) for f in row] for row in fractions]
+    terms = [
+        [(a, digit.get((a, b), 0), weight[a][b]) for a in map(int, model.children_of(b))]
+        for b in range(n_sym)
     ]
 
-    grouped: dict[tuple, list[TypeClass]] = {}
-    for cls in classes:
-        key = tuple((a, b, sum(k[a][b] for k in cls.edges)) for a, b in weighted_edges)
-        grouped.setdefault(key, []).append(cls)
+    def level(polys: list[dict], b: int) -> dict:
+        offspring: dict[int, int | float] = {}
+        for a, shift, w in terms[b]:
+            for key, coef in polys[a].items():
+                offspring[key + shift] = offspring.get(key + shift, 0) + w * coef
+        out = _power(offspring, model.arity)
+        if len(out) > CLASS_GUARD:
+            raise TooLarge(f"more than {CLASS_GUARD} terms in a generating function at depth {n}")
+        return out
 
+    polys = [{0: 1}] * n_sym
+    for _ in range(n - 1):
+        polys = [level(polys, b) for b in range(n_sym)]
+    top = level(polys, root) if n else polys[root]
+
+    scale = den ** (total_nodes - 1)
     atoms = []
-    for key, members in grouped.items():
-        mean = float(sum(cnt * log_w[a, b] for a, b, cnt in key) / total_nodes)
-        exacts = None
-        if members[0].prob is not None:
-            exacts = [cls.prob for cls in members if cls.prob is not None]
+    for key, coef in top.items():
+        counts = []
+        for a, b in weighted_edges:
+            key, cnt = divmod(key, total_nodes)
+            counts.append((a, b, cnt))
+        exact = Fraction(coef, scale) if fractions is not None else None
         atoms.append(
             MeanAtom(
-                mean=mean,
-                prob=float(math.fsum(math.exp(cls.log_prob) for cls in members)),
-                prob_exact=_exact_sum(exacts) if exacts is not None else None,
-                weighted_counts=key,
+                mean=float(sum(cnt * log_w[a, b] for a, b, cnt in counts) / total_nodes),
+                prob=float(coef if exact is None else exact),
+                prob_exact=exact,
+                weighted_counts=tuple(counts),
             )
         )
-    atoms.sort(key=lambda a: a.mean)
+    atoms.sort(key=lambda a: (a.mean, a.weighted_counts))
     return MeanDistribution(tuple(atoms), depth=n, root=root)
+
+
+def _multiply(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def _power(poly: dict, d: int) -> dict:
+    """poly^d by repeated squaring (d >= 1)."""
+    out = None
+    while True:
+        if d & 1:
+            out = poly if out is None else _multiply(out, poly)
+        d >>= 1
+        if not d:
+            return out
+        poly = _multiply(poly, poly)
 
 
 def finite_rate(chain: WeightedChainModel, class_index: int, n: int, alpha: float) -> float:

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +12,8 @@ from treeshift import (
     is_irreducible,
     reciprocal_on_support,
 )
+from treeshift.errors import TooLarge
+from treeshift.oracle import block_counts
 
 NINE_ADJACENCY = [
     [0, 0, 0, 0, 1, 1, 0, 0, 0],
@@ -26,6 +31,60 @@ NINE_ADJACENCY = [
 def make_model(adjacency, d=2):
     n = len(adjacency)
     return AdjacencyModel(tuple(str(i) for i in range(n)), adjacency, d)
+
+
+# Listing reference: every admissible tree written out, against which the
+# block-count recursion, the type classes and ``empirical_pair`` are checked.
+
+
+@dataclass(frozen=True)
+class BlockCounts:
+    counts: tuple[int, ...]
+    total: int
+    trees: tuple[tuple[int, ...], ...] | None
+
+
+def enumerate_blocks(model, n, root=None, want_list=False, list_guard=10**8):
+    """Counts via the exact recursion, plus an optional explicit listing.
+
+    The recursion is unbounded; the listing is guarded by ``list_guard`` and
+    raises TooLarge beyond it.
+    """
+    counts = block_counts(model, n)
+    if root is not None:
+        total = counts[root]
+    else:
+        total = sum(counts)
+    trees = None
+    if want_list:
+        if total > list_guard:
+            raise TooLarge(f"{total} trees exceed the listing guard {list_guard}")
+        roots = [root] if root is not None else list(range(model.n_symbols))
+        trees = tuple(
+            tree for r in roots for tree in _list_trees(model, n, r)
+        )
+    return BlockCounts(tuple(counts), total, trees)
+
+
+def _list_trees(model, n, root):
+    """Admissible depth-n labelings in BFS order, root fixed.
+
+    Grows every tree one level at a time, each held as its flat labeling so
+    far and its last level, whose slots pick the next level's labels.
+    """
+    d = model.arity
+    children = [tuple(int(a) for a in model.children_of(b)) for b in range(model.n_symbols)]
+
+    def levels_under(last):
+        return itertools.product(*[children[b] for b in last for _ in range(d)])
+
+    if n == 0:
+        return [(root,)]
+    layer = [((root,), (root,))]
+    for _ in range(n - 1):
+        layer = [(prefix + level, level) for prefix, last in layer for level in levels_under(last)]
+    # the deepest level needs no pairs, only the flat trees
+    return [tree for prefix, last in layer for tree in map(prefix.__add__, levels_under(last))]
 
 
 def ring_model(n):

@@ -34,13 +34,12 @@ from treeshift import (
 from treeshift.cli import main as cli_main
 from treeshift.oracle import (
     block_counts,
-    enumerate_blocks,
     enumerate_type_classes,
     finite_rate,
 )
 from treeshift.stochastic import SampleConfig, lln_experiment
 
-from conftest import NINE_ADJACENCY, make_model, random_a0_matrix
+from conftest import NINE_ADJACENCY, enumerate_blocks, make_model, random_a0_matrix
 
 LOG2 = log(2)
 

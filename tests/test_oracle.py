@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,22 +21,24 @@ from treeshift import (
     lln_limit,
     rate,
 )
+from treeshift import oracle
 from treeshift.errors import TooLarge
 from treeshift.oracle import (
+    MeanAtom,
+    MeanDistribution,
     TypeClass,
     _compositions,
     _exact_fractions,
     _log_big,
     _multinomial,
     block_counts,
-    enumerate_blocks,
     enumerate_type_classes,
     exact_mean_distribution,
     finite_rate,
-    mean_distribution,
 )
+from treeshift.rate_function import _tilted_recursion
 
-from conftest import make_model, random_a0_matrix
+from conftest import enumerate_blocks, make_model, random_a0_matrix
 
 
 # Reference: the per-leaf enumeration the one-pass recursion replaced.  Every
@@ -117,6 +120,53 @@ def _ref_enumerate(chain, n, root, class_guard):
     start = tuple(1 if a == root else 0 for a in range(n_sym))
     rec(0, start, [start], [], 0.0, Fraction(1) if fractions is not None else None)
     return results
+
+
+# Reference: the law of the sample mean as the grouping of the enumerated type
+# classes by their weighted edge counts.  The generating function must give
+# the same atoms: the same keys and means, and the same exact probabilities.
+
+
+def mean_distribution(chain, classes, n, root):
+    """Group the depth-n type classes of ``root`` by their weighted edge counts."""
+    total_nodes = lattice_size(chain.arity, n)
+    log_w = chain.log_w
+    weighted_edges = [
+        (a, b) for a in range(chain.base.n_symbols)
+        for b in range(chain.base.n_symbols) if log_w[a, b] != 0.0
+    ]
+
+    grouped = {}
+    for cls in classes:
+        key = tuple((a, b, sum(k[a][b] for k in cls.edges)) for a, b in weighted_edges)
+        grouped.setdefault(key, []).append(cls)
+
+    atoms = []
+    for key, members in grouped.items():
+        atoms.append(
+            MeanAtom(
+                mean=float(sum(cnt * log_w[a, b] for a, b, cnt in key) / total_nodes),
+                prob=float(math.fsum(math.exp(cls.log_prob) for cls in members)),
+                prob_exact=None if members[0].prob is None else sum(c.prob for c in members),
+                weighted_counts=key,
+            )
+        )
+    atoms.sort(key=lambda a: (a.mean, a.weighted_counts))
+    return MeanDistribution(tuple(atoms), depth=n, root=root)
+
+
+def assert_same_atoms(got, ref):
+    """Keys, means bit for bit, exact probabilities equal; float probabilities
+    correctly rounded when exact, else within 1e-12 of the reference."""
+    assert (got.depth, got.root) == (ref.depth, ref.root)
+    assert [a.weighted_counts for a in got.atoms] == [a.weighted_counts for a in ref.atoms]
+    assert [a.mean.hex() for a in got.atoms] == [a.mean.hex() for a in ref.atoms]
+    assert [a.prob_exact for a in got.atoms] == [a.prob_exact for a in ref.atoms]
+    for g, r in zip(got.atoms, ref.atoms):
+        if g.prob_exact is not None:
+            assert g.prob == float(g.prob_exact)
+        else:
+            assert g.prob == pytest.approx(r.prob, rel=1e-12)
 
 
 def _random_chain(seed, n_sym, d, denominator):
@@ -268,14 +318,6 @@ class TestTypeClasses:
             assert _outcome(enumerate_type_classes, chain, n, root, total - 1) == "TooLarge"
             assert _outcome(_ref_enumerate, chain, n, root, total - 1) == "TooLarge"
 
-    def test_empirical_pair_columns(self, example1):
-        for cls in enumerate_type_classes(example1, 2, root=0):
-            taus, etas = cls.empirical_pair(example1.base)
-            for tau in taus:
-                assert tau.sum() == pytest.approx(1.0, abs=1e-12)
-            for eta in etas:
-                assert eta.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
-
 
 class TestExactMeanDistribution:
     def test_unit_weights_single_atom(self, full2):
@@ -298,6 +340,62 @@ class TestExactMeanDistribution:
         for chain in (example1, example2):
             dist = exact_mean_distribution(chain, 3, root=0)
             assert dist.total_prob() == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3),
+        st.sampled_from([2, 3]),
+        st.integers(1, 3),
+        st.sampled_from([8, 16, 10, 3]),  # dyadic, or rounded decimals and thirds
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_atoms_as_grouped_classes(self, seed, n_sym, d, n, denominator):
+        chain = _random_chain(seed, n_sym, d, max(denominator, n_sym))
+        for root in range(n_sym):
+            classes = _outcome(enumerate_type_classes, chain, n, root, 2000)
+            if classes != "TooLarge":
+                got = exact_mean_distribution(chain, n, root)
+                assert_same_atoms(got, mean_distribution(chain, classes, n, root))
+
+    def test_example1_against_grouped_classes(self, example1):
+        for n in (3, 4, 5):
+            classes = enumerate_type_classes(example1, n, root=0)
+            got = exact_mean_distribution(example1, n, root=0)
+            assert_same_atoms(got, mean_distribution(example1, classes, n, 0))
+            assert sum(a.prob_exact for a in got.atoms) == 1
+
+    def test_example1_depth_eight(self, example1):
+        dist = exact_mean_distribution(example1, 8)
+        assert len(dist.atoms) == 171
+        assert sum(a.prob_exact for a in dist.atoms) == 1
+        assert dist.total_prob() == 1.0
+
+    def test_guard(self, example1, monkeypatch):
+        # example1's depth-4 law has 11 atoms; every smaller polynomial has at most 5
+        monkeypatch.setattr(oracle, "CLASS_GUARD", 11)
+        assert len(exact_mean_distribution(example1, 4, root=0).atoms) == 11
+        monkeypatch.setattr(oracle, "CLASS_GUARD", 10)
+        with pytest.raises(TooLarge):
+            exact_mean_distribution(example1, 4, root=0)
+
+    @pytest.mark.parametrize("name", ["example1", "dyadic"])
+    def test_log_mgf_is_the_tilted_recursion(self, request, name):
+        # log E exp(mu S) over the atoms, S = |Lambda(n)| * mean the log-W sum,
+        # is log G_n(root) at z = W^mu: the tilted recursion's x_n[root]
+        chain = request.getfixturevalue(name) if name == "example1" else _random_chain(0, 2, 2, 16)
+        root = chain.base.structure.a0
+        mask = np.arange(chain.base.n_symbols) == root
+        for n in range(2, 7):
+            size = lattice_size(chain.arity, n)
+            dist = exact_mean_distribution(chain, n)
+            log_p = [_log_big(a.prob_exact.numerator) - _log_big(a.prob_exact.denominator)
+                     for a in dist.atoms]
+            for mu in (-2.0, -0.5, 0.3, 1.5):
+                terms = [lp + mu * a.mean * size for lp, a in zip(log_p, dist.atoms)]
+                top = max(terms)
+                log_mgf = top + log(math.fsum(math.exp(t - top) for t in terms))
+                x, _ = _tilted_recursion(chain, np.array([mu]), n, mask)
+                assert log_mgf == pytest.approx(float(x[0]), rel=1e-12)
 
     def test_log_probability_trend_toward_rate(self, example1):
         # (1/|L(n)|) log P(mean near alpha) drifts toward -rate(alpha)
@@ -344,7 +442,7 @@ class TestFiniteRate:
 
 class TestDualityScript:
     def test_example2_period_two(self, tmp_path):
-        # finite_rate at p = 2, through the audit script over every class to depth 4
+        # finite_rate at p = 2, through the audit script over every atom to depth 4
         repo = Path(__file__).resolve().parents[1]
         model = tmp_path / "example2.json"
         model.write_text(json.dumps({
@@ -364,5 +462,5 @@ class TestDualityScript:
         )
         assert result.returncode == 0, result.stderr
         summary = result.stdout.strip().splitlines()[-1]
-        assert summary.startswith("60 classes checked to depth 4")
+        assert summary.startswith("28 atoms checked to depth 4")
         assert float(summary.rsplit(" ", 1)[1]) <= 1e-9

@@ -20,7 +20,8 @@ from treeshift.errors import (
     SupportMismatch,
     TooLarge,
 )
-from treeshift.oracle import enumerate_blocks
+
+from conftest import enumerate_blocks
 
 
 class TestLatticeSize:
