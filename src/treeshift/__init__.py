@@ -35,7 +35,6 @@ from .rate_function import (
     domain_endpoints,
     lln_beta_bounds,
     lln_limit,
-    phi,
     pressure,
     rate,
     rate_curve,

@@ -73,9 +73,12 @@ def _dumps(obj) -> str:
 
     The C encoder writes the document as it is; only a non-finite float
     (``ValueError``) sends it through the ``_sanitize`` walk and its sentinels.
+    No payload holds a cycle (``_sanitize`` would recurse on one without end),
+    so the encoder skips its circular-reference bookkeeping, one dict insert
+    and delete per container.
     """
     try:
-        return json.dumps(obj, allow_nan=False, default=_plain)
+        return json.dumps(obj, allow_nan=False, check_circular=False, default=_plain)
     except ValueError:
         return json.dumps(_sanitize(obj), allow_nan=False)
 

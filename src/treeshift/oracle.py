@@ -46,8 +46,7 @@ def block_counts(model: AdjacencyModel, n: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class TypeClass:
+class TypeClass(NamedTuple):
     """All labeled trees sharing the same level counts and edge counts."""
 
     levels: tuple[tuple[int, ...], ...]
@@ -147,7 +146,8 @@ def enumerate_type_classes(
     and exact probability down the levels.  The transitions out of a level are
     built once per count vector N: each is one column choice per parent symbol,
     with its edge matrix, the next level's counts, and the products of the
-    choices' multinomials, probabilities and log terms.
+    choices' multinomials, probabilities and log terms.  The last level is a
+    loop that appends one class per transition, with no call per class.
     """
     model = chain.base
     d = model.arity
@@ -194,28 +194,34 @@ def enumerate_type_classes(
             out.append((kmat, tuple(map(sum, kmat)), mult, num, den, dlog))
         return out
 
+    exact = fractions is not None
+    too_many = f"more than {class_guard} type classes at depth {n}"
     results: list[TypeClass] = []
+    append = results.append
 
     def rec(nvec, levels, edges, count, log_prob_edges, num, den):
-        if len(edges) == n:
-            results.append(
-                TypeClass(
-                    levels=levels,
-                    edges=edges,
-                    count=count,
-                    log_prob=_log_big(count) + log_prob_edges,
-                    prob=Fraction(count * num, den) if fractions is not None else None,
-                )
-            )
-            if len(results) > class_guard:
-                raise TooLarge(f"more than {class_guard} type classes at depth {n}")
+        if len(edges) < n - 1:
+            for kmat, next_n, mult, p, q, dlog in steps(nvec):
+                rec(next_n, levels + (next_n,), edges + (kmat,), count * mult,
+                    log_prob_edges + dlog, num * p, den * q)
             return
+        # the last level, one class per transition: the log-probability adds
+        # in the float order of a call per class
         for kmat, next_n, mult, p, q, dlog in steps(nvec):
-            rec(next_n, levels + (next_n,), edges + (kmat,), count * mult,
-                log_prob_edges + dlog, num * p, den * q)
+            c = count * mult
+            append(TypeClass(levels + (next_n,), edges + (kmat,), c,
+                             _log_big(c) + (log_prob_edges + dlog),
+                             Fraction(c * num * p, den * q) if exact else None))
+            if len(results) > class_guard:
+                raise TooLarge(too_many)
 
     start = tuple(1 if a == root else 0 for a in range(n_sym))
-    rec(start, (start,), (), 1, 0.0, 1, 1)
+    if n:
+        rec(start, (start,), (), 1, 0.0, 1, 1)
+    else:
+        append(TypeClass((start,), (), 1, 0.0, Fraction(1) if exact else None))
+        if class_guard < 1:
+            raise TooLarge(too_many)
     return results
 
 
@@ -267,7 +273,9 @@ def exact_mean_distribution(
     are the atom's key, its coefficient the atom's probability.  For dyadic M
     the coefficients of G_m are integers over D^(|Lambda(m)| - 1), D the lcm
     of M's denominators, so every probability is exact; otherwise they are
-    floats.  A polynomial with more than CLASS_GUARD terms raises TooLarge.
+    floats.  A product of two polynomials with more than CLASS_GUARD pairs of
+    terms raises TooLarge before it starts: the pairs bound its work and its
+    terms.
     """
     model = chain.base
     root = _checked_root(model, n, root)
@@ -294,10 +302,7 @@ def exact_mean_distribution(
         for a, shift, w in terms[b]:
             for key, coef in polys[a].items():
                 offspring[key + shift] = offspring.get(key + shift, 0) + w * coef
-        out = _power(offspring, model.arity)
-        if len(out) > CLASS_GUARD:
-            raise TooLarge(f"more than {CLASS_GUARD} terms in a generating function at depth {n}")
-        return out
+        return _power(offspring, model.arity)
 
     polys = [{0: 1}] * n_sym
     for _ in range(n - 1):
@@ -325,6 +330,8 @@ def exact_mean_distribution(
 
 
 def _multiply(p: dict, q: dict) -> dict:
+    if len(p) * len(q) > CLASS_GUARD:
+        raise TooLarge(f"more than {CLASS_GUARD} term pairs in a generating-function product")
     out: dict = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():

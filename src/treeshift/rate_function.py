@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel
-from .errors import ModelParseError, ModelValidationError, SupportViolation
+from .errors import ModelParseError, ModelValidationError
 from .transfer_op import PRESSURE_TOL, _certified_depth, log_weights, psi
 
 STOCHASTIC_TOL = 1e-12
@@ -129,24 +129,6 @@ def reciprocal_on_support(m: np.ndarray) -> np.ndarray:
     sup = m > 0
     out[sup] = 1.0 / m[sup]
     return out
-
-
-def phi(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Column-wise negative relative entropy: phi_b = sum_a -p[a,b] log(p[a,b]/w[a,b]).
-
-    0 * log(0/0) counts as 0.  Raises SupportViolation if p charges an entry
-    where w vanishes.
-    """
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
-    bad = np.argwhere((p > 0) & (w <= 0))
-    if bad.size:
-        r, c = bad[0]
-        raise SupportViolation(f"p[{r}, {c}] > 0 where the reference weight is 0")
-    mask = p > 0
-    safe_w = np.where(mask, w, 1.0)
-    safe_p = np.where(mask, p, 1.0)
-    return (-safe_p * np.log(safe_p / safe_w) * mask).sum(axis=0)
 
 
 def tilted_matrix(chain: WeightedChainModel, mu) -> np.ndarray:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from treeshift import alphabet_graph, dimension
-from treeshift.cli import _emit, _sanitize, main
+from treeshift import alphabet_graph, cli, dimension
+from treeshift.cli import _dumps, _emit, _plain, _sanitize, main
 
 from conftest import NINE_ADJACENCY
 
@@ -546,3 +546,25 @@ class TestEmit:
         got = self._emitted(payload, capsys)
         indented = json.dumps(_sanitize(payload), indent=2, allow_nan=False)
         assert got == json.loads(indented)
+
+    def test_encoding_matches_the_circular_checked_encoder(self, write_model, monkeypatch):
+        # _dumps skips the encoder's circular-reference check; the text is the
+        # same as with it, on the oracle's class list and the payloads above
+        def checked(obj):
+            try:
+                return json.dumps(obj, allow_nan=False, default=_plain)
+            except ValueError:
+                return json.dumps(_sanitize(obj), allow_nan=False)
+
+        seen = []
+        monkeypatch.setattr(cli, "_dumps", lambda obj: seen.append(obj) or _dumps(obj))
+        run_json(["oracle", write_model(EXAMPLE1), "--n", "5"])
+        payloads = seen + [
+            {"bad": np.float64("inf"), "array": np.array([1.5, np.nan]),
+             "symbols": frozenset({"b", "a"}), "pair": (1, -0.5)},
+            {"rows": np.arange(6, dtype=np.int64).reshape(2, 3), "levels": ((1, 0), (1, 1)),
+             "nested": {"ok": np.bool_(False), "vals": [np.float32(0.5), 2**70]}},
+        ]
+        assert len(payloads[0]["classes"]) == 12459
+        for payload in payloads:
+            assert _dumps(payload) == checked(payload)

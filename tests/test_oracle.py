@@ -285,6 +285,29 @@ class TestTypeClasses:
                 assert 1 <= len(dists) <= dist_bound
                 assert 1 <= len(trans) <= trans_bound
 
+    def test_depth_zero_is_the_root_alone(self, example1, example2):
+        assert enumerate_type_classes(example1, 0, root=1) == [
+            TypeClass(((0, 1),), (), 1, 0.0, Fraction(1))
+        ]
+        (cls,) = enumerate_type_classes(example2, 0, root=0)
+        assert cls == (((1, 0, 0),), (), 1, 0.0, None) and cls.prob is None
+        # the one class is more than a guard of 0
+        with pytest.raises(TooLarge):
+            enumerate_type_classes(example1, 0, root=0, class_guard=0)
+
+    def test_classes_are_immutable_values(self, example1):
+        classes = enumerate_type_classes(example1, 3, root=0)
+        cls = classes[-1]
+        with pytest.raises(AttributeError):
+            cls.count = 0
+        assert TypeClass(**cls._asdict()) == cls
+        assert len(set(classes)) == len(classes)
+        k = cls.total_edge_counts
+        assert k.dtype == np.int64
+        assert k.tolist() == np.sum(cls.edges, axis=0).tolist()
+        nodes = sum(map(sum, cls.levels))
+        assert cls.mean(example1) == float((k[k > 0] * example1.log_w[k > 0]).sum() / nodes)
+
     def test_class_guard(self, example1):
         with pytest.raises(TooLarge):
             enumerate_type_classes(example1, 4, root=0, class_guard=100)
@@ -371,12 +394,19 @@ class TestExactMeanDistribution:
         assert dist.total_prob() == 1.0
 
     def test_guard(self, example1, monkeypatch):
-        # example1's depth-4 law has 11 atoms; every smaller polynomial has at most 5
-        monkeypatch.setattr(oracle, "CLASS_GUARD", 11)
+        # example1's depth-4 law has 11 atoms; its largest product has 36 pairs of terms
+        monkeypatch.setattr(oracle, "CLASS_GUARD", 36)
         assert len(exact_mean_distribution(example1, 4, root=0).atoms) == 11
-        monkeypatch.setattr(oracle, "CLASS_GUARD", 10)
+        monkeypatch.setattr(oracle, "CLASS_GUARD", 35)
         with pytest.raises(TooLarge):
             exact_mean_distribution(example1, 4, root=0)
+
+    def test_guard_bounds_the_products(self):
+        # 143,904 atoms at depth 4, far below CLASS_GUARD terms, but the
+        # products that build them pass CLASS_GUARD pairs: a guard on terms
+        # alone let this run for seconds
+        with pytest.raises(TooLarge):
+            exact_mean_distribution(_random_chain(7, 3, 2, 16), 4)
 
     @pytest.mark.parametrize("name", ["example1", "dyadic"])
     def test_log_mgf_is_the_tilted_recursion(self, request, name):

@@ -12,7 +12,6 @@ from treeshift import (
     find_a0_and_period,
     lln_beta_bounds,
     lln_limit,
-    phi,
     pressure,
     rate,
     rate_curve,
@@ -64,6 +63,25 @@ class TestChainValidation:
         with pytest.raises(ModelValidationError) as err:
             parse_weighted({"M": m.tolist()}, golden)
         assert err.value.col == 0
+
+
+def phi(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Column-wise negative relative entropy: phi_b = sum_a -p[a,b] log(p[a,b]/w[a,b]).
+
+    0 * log(0/0) counts as 0.  Raises SupportViolation if p charges an entry
+    where w vanishes.  Nothing in the package evaluates it; these tests keep
+    the paper's relative-entropy functional and its Gibbs inequality.
+    """
+    p = np.asarray(p, dtype=float)
+    w = np.asarray(w, dtype=float)
+    bad = np.argwhere((p > 0) & (w <= 0))
+    if bad.size:
+        r, c = bad[0]
+        raise SupportViolation(f"p[{r}, {c}] > 0 where the reference weight is 0")
+    mask = p > 0
+    safe_w = np.where(mask, w, 1.0)
+    safe_p = np.where(mask, p, 1.0)
+    return (-safe_p * np.log(safe_p / safe_w) * mask).sum(axis=0)
 
 
 class TestPhi:
