@@ -9,12 +9,10 @@ __version__ = "0.1.0"
 from .alphabet_graph import (
     AdjacencyModel,
     PeriodStructure,
-    ReachabilityReport,
     find_a0_and_period,
     is_irreducible,
     linear_spectral_radius,
     model_from_dict,
-    reachability,
     reduce_a0,
 )
 from .dimension import (

@@ -116,15 +116,6 @@ class PeriodStructure:
         return mask
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
-    """Descendant closures, the recurrent symbol set, and SCCs by smallest member."""
-
-    closures: tuple[frozenset[int], ...]
-    recurrent: frozenset[int]
-    scc_list: tuple[frozenset[int], ...]
-
-
 def model_from_dict(data: dict, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> AdjacencyModel:
     """Build a model from the JSON schema {"symbols", "adjacency", "d", ...}.
 
@@ -255,15 +246,6 @@ def find_a0_and_period(model: AdjacencyModel, a0: int | None = None) -> PeriodSt
 def is_irreducible(model: AdjacencyModel) -> bool:
     """True when the parent->child digraph is strongly connected."""
     return bool(model.reach.all())
-
-
-def reachability(model: AdjacencyModel) -> ReachabilityReport:
-    """Descendant closures A^(a), the recurrent set, and the SCC list."""
-    reach = model.reach
-    closures = tuple(frozenset(np.flatnonzero(row).tolist()) for row in reach)
-    recurrent = frozenset(np.flatnonzero(_recurrent(model.adjacency, reach)).tolist())
-    sccs = tuple(frozenset(c) for c in _sccs(reach))
-    return ReachabilityReport(closures, recurrent, sccs)
 
 
 def linear_spectral_radius(

@@ -8,17 +8,25 @@ configuration, version, wall time).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 
 import click
 import numpy as np
 
 from . import __version__
-from .alphabet_graph import A1Violated, is_irreducible, model_from_dict, reachability, reduce_a0
+from .alphabet_graph import (
+    A1Violated,
+    _recurrent,
+    _sccs,
+    is_irreducible,
+    model_from_dict,
+    reduce_a0,
+)
 from .dimension import check_tolerance, hausdorff_dimension, optimal_markov_measure
 from .errors import (
     ModelParseError,
@@ -46,25 +54,14 @@ EXIT_NUMERIC = 4
 EXIT_RESOURCE = 5
 
 
-@dataclass
-class RunManifest:
-    command: str
-    input_sha256: str
-    config: dict
-    tool_version: str
-    wall_time_s: float
-
-
 def _emit(payload: dict, command: str, digest: str, config: dict, started: float) -> None:
-    payload["manifest"] = asdict(
-        RunManifest(
-            command=command,
-            input_sha256=digest,
-            config=config,
-            tool_version=__version__,
-            wall_time_s=round(time.perf_counter() - started, 6),
-        )
-    )
+    payload["manifest"] = {
+        "command": command,
+        "input_sha256": digest,
+        "config": config,
+        "tool_version": __version__,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
     sys.stdout.write(_dumps(payload) + "\n")
 
 
@@ -159,81 +156,91 @@ def main():
     """Analyze Markov chains indexed by rooted d-trees."""
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-def analyze(model_file):
+def _command(body):
+    """Register ``body(data, model, reduced, **options) -> (payload, config)``
+    as the subcommand of its own name, on a ``model_file`` argument.
+
+    The command reads the file once (``_load``), runs the body under
+    ``_run``'s exit-code map, and emits the payload with the run manifest.
+    ``functools.wraps`` hands the body's name, docstring (the help text) and
+    ``click`` options on to the command.
+    """
+
+    @main.command()
+    @click.argument("model_file", type=click.Path(exists=True))
+    @functools.wraps(body)
+    def command(model_file, **options):
+        started = time.perf_counter()
+
+        def go():
+            digest, data, model, reduced = _load(model_file)
+            payload, config = body(data, model, reduced, **options)
+            _emit(payload, body.__name__, digest, config, started)
+
+        _run(go)
+
+    return command
+
+
+@_command
+def analyze(_data, model, reduced):
     """Structure report: reductions, a0, period, classes, reachability."""
-    started = time.perf_counter()
-
-    def go():
-        digest, _, model, reduced = _load(model_file)
-        payload = {
-            "symbols": list(reduced.symbols),
-            "d": reduced.arity,
-            "a0_reduction_removed": sorted(set(model.symbols) - set(reduced.symbols)),
-            "a0_holds": reduced.satisfies_a0(),
-        }
-        rep = reachability(reduced)
-        payload["recurrent"] = sorted(rep.recurrent)
-        payload["closures"] = {
-            reduced.symbols[a]: sorted(reduced.symbols[b] for b in rep.closures[a])
-            for a in range(reduced.n_symbols)
-        }
-        payload["scc_list"] = [sorted(c) for c in rep.scc_list]
-        payload["irreducible"] = is_irreducible(reduced)
-        try:
-            period = reduced.structure
-            payload["a1_holds"] = True
-            payload["a0_symbol"] = reduced.symbols[period.a0]
-            payload["period"] = period.period
-            payload["classes"] = [
-                sorted(reduced.symbols[a] for a in cls) for cls in period.classes
-            ]
-        except A1Violated as exc:
-            payload["a1_holds"] = False
-            payload["a1_violation"] = str(exc)
-        _emit(payload, "analyze", digest, {}, started)
-
-    _run(go)
+    symbols, reach = reduced.symbols, reduced.reach
+    payload = {
+        "symbols": list(symbols),
+        "d": reduced.arity,
+        "a0_reduction_removed": sorted(set(model.symbols) - set(symbols)),
+        "a0_holds": reduced.satisfies_a0(),
+        "recurrent": np.flatnonzero(_recurrent(reduced.adjacency, reach)).tolist(),
+        "closures": {
+            symbols[a]: sorted(symbols[b] for b in np.flatnonzero(row))
+            for a, row in enumerate(reach)
+        },
+        "scc_list": _sccs(reach),
+        "irreducible": is_irreducible(reduced),
+    }
+    try:
+        period = reduced.structure
+        payload["a1_holds"] = True
+        payload["a0_symbol"] = symbols[period.a0]
+        payload["period"] = period.period
+        payload["classes"] = [sorted(symbols[a] for a in cls) for cls in period.classes]
+    except A1Violated as exc:
+        payload["a1_holds"] = False
+        payload["a1_violation"] = str(exc)
+    return payload, {}
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command
 @click.option("--eigen-tol", default=1e-11, show_default=True,
               help="Collatz-Wielandt bracket width for eigenpairs.")
 @click.option("--scan-csv", type=click.Path(), default=None,
               help="Also write the objective over the search's starting s-lattice "
                    "(at most 51 points) to this CSV (for an upper bound: the "
                    "lattice of the closure that sets it).")
-def dimension(model_file, eigen_tol, scan_csv):
+def dimension(_data, _model, reduced, eigen_tol, scan_csv):
     """Hausdorff dimension (exact when irreducible, upper bound otherwise)."""
-    started = time.perf_counter()
-
-    def go():
-        digest, _, _, reduced = _load(model_file)
-        report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
-        if scan_csv:
-            _write_scan_csv(scan_csv, report)
-        col_sums = reduced.adjacency.sum(axis=0)
-        payload = {
-            "dim": report.dim,
-            "argmin_s": report.argmin_s,
-            "argmin_r": report.argmin_r,
-            "class_values": list(report.class_values),
-            "h_top": report.h_top,
-            "log_rho_linear": report.log_rho_linear,
-            "method": report.method,
-            "iterations": report.iterations,
-            "eigen_iterations": report.eigen_iterations,
-            "gap": report.gap,
-            "a0": report.a0,
-            "a0_symbol": reduced.symbols[report.a0],
-            "period": report.period,
-            "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
-        }
-        _emit(payload, "dimension", digest, {"eigen_tol": eigen_tol}, started)
-
-    _run(go)
+    report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
+    if scan_csv:
+        _write_scan_csv(scan_csv, report)
+    col_sums = reduced.adjacency.sum(axis=0)
+    payload = {
+        "dim": report.dim,
+        "argmin_s": report.argmin_s,
+        "argmin_r": report.argmin_r,
+        "class_values": list(report.class_values),
+        "h_top": report.h_top,
+        "log_rho_linear": report.log_rho_linear,
+        "method": report.method,
+        "iterations": report.iterations,
+        "eigen_iterations": report.eigen_iterations,
+        "gap": report.gap,
+        "a0": report.a0,
+        "a0_symbol": reduced.symbols[report.a0],
+        "period": report.period,
+        "spectral_equality_predicate": bool((col_sums == col_sums[0]).all()),
+    }
+    return payload, {"eigen_tol": eigen_tol}
 
 
 def _write_scan_csv(path, report):
@@ -244,63 +251,45 @@ def _write_scan_csv(path, report):
         writer.writerows(np.column_stack([report.grid_s, report.grid_values]).tolist())
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command
 @click.option("--class-index", "-j", default=0, show_default=True)
 @click.option("--grid-points", default=200, show_default=True)
 @click.option("--pressure-tol", default=1e-10, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(), required=True,
               help="Destination for the alpha,rate,argmax_mu,finite table.")
-def rate(model_file, class_index, grid_points, pressure_tol, csv_path):
+def rate(data, _model, reduced, class_index, grid_points, pressure_tol, csv_path):
     """Sanov rate curve for conditional sample means (CSV + JSON summary)."""
-    started = time.perf_counter()
-
-    def go():
-        digest, data, _, reduced = _load(model_file)
-        chain, _ = parse_weighted(data, reduced)
-        curve = rate_curve(
-            chain, class_index, n_points=grid_points, pressure_tol=pressure_tol
-        )
-        with open(csv_path, "w") as fh:
-            curve.to_csv(fh)
-        payload = dict(curve.summary())
-        payload["csv"] = csv_path
-        _emit(payload, "rate", digest,
-              {"class": class_index, "grid_points": grid_points,
-               "pressure_tol": pressure_tol}, started)
-
-    _run(go)
+    chain, _ = parse_weighted(data, reduced)
+    curve = rate_curve(chain, class_index, n_points=grid_points, pressure_tol=pressure_tol)
+    with open(csv_path, "w") as fh:
+        curve.to_csv(fh)
+    payload = dict(curve.summary())
+    payload["csv"] = csv_path
+    config = {"class": class_index, "grid_points": grid_points, "pressure_tol": pressure_tol}
+    return payload, config
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-def lln(model_file):
+@_command
+def lln(data, _model, reduced):
     """Almost-sure phase limits of the sample mean, and expectation bounds."""
-    started = time.perf_counter()
-
-    def go():
-        digest, data, _, reduced = _load(model_file)
-        chain, pi = parse_weighted(data, reduced)
-        p = reduced.structure.period
-        phases = [lln_limit(chain, j) for j in range(p)]
-        a1, a2 = domain_endpoints(chain, 0)
-        payload = {
-            "period": p,
-            "alpha_star": phases,
-            "alpha1": a1,
-            "alpha2": a2,
-        }
-        if pi is not None:
-            lo, hi = lln_beta_bounds(chain, pi)
-            payload["beta_minus"] = lo
-            payload["beta_plus"] = hi
-        _emit(payload, "lln", digest, {}, started)
-
-    _run(go)
+    chain, pi = parse_weighted(data, reduced)
+    p = reduced.structure.period
+    phases = [lln_limit(chain, j) for j in range(p)]
+    a1, a2 = domain_endpoints(chain, 0)
+    payload = {
+        "period": p,
+        "alpha_star": phases,
+        "alpha1": a1,
+        "alpha2": a2,
+    }
+    if pi is not None:
+        lo, hi = lln_beta_bounds(chain, pi)
+        payload["beta_minus"] = lo
+        payload["beta_plus"] = hi
+    return payload, {}
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=50, show_default=True)
 @click.option("--depth", default=12, show_default=True)
@@ -308,127 +297,98 @@ def lln(model_file):
               help="Root symbol index (default: the distinguished symbol a0).")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Optional per-trial CSV output.")
-def simulate(model_file, seed, trials, depth, root, csv_path):
+def simulate(data, _model, reduced, seed, trials, depth, root, csv_path):
     """Monte-Carlo sample-mean experiment against the phase limits."""
-    started = time.perf_counter()
-
-    def go():
-        digest, data, _, reduced = _load(model_file)
-        chain, _ = parse_weighted(data, reduced)
-        root_sym = reduced.structure.a0 if root is None else root
-        config = SampleConfig(depth=depth, trials=trials, seed=seed, root=root_sym)
-        report = lln_experiment(chain, config)
-        if csv_path:
-            with open(csv_path, "w") as fh:
-                fh.write("trial,sample_mean\n")
-                for t, m in enumerate(report.trial_means):
-                    fh.write(f"{t},{m!r}\n")
-        payload = {
-            "empirical_mean": report.empirical_mean,
-            "stderr": report.stderr,
-            "generator": report.generator,
-            "seed": report.seed,
-            "passed": report.passed,
-            "phase_checks": [asdict(c) for c in report.phase_checks],
-        }
-        _emit(payload, "simulate", digest,
-              {"seed": seed, "trials": trials, "depth": depth,
-               "root": root_sym}, started)
-
-    _run(go)
+    chain, _ = parse_weighted(data, reduced)
+    root_sym = reduced.structure.a0 if root is None else root
+    config = SampleConfig(depth=depth, trials=trials, seed=seed, root=root_sym)
+    report = lln_experiment(chain, config)
+    if csv_path:
+        with open(csv_path, "w") as fh:
+            fh.write("trial,sample_mean\n")
+            for t, m in enumerate(report.trial_means):
+                fh.write(f"{t},{m!r}\n")
+    payload = {
+        "empirical_mean": report.empirical_mean,
+        "stderr": report.stderr,
+        "generator": report.generator,
+        "seed": report.seed,
+        "passed": report.passed,
+        "phase_checks": [asdict(c) for c in report.phase_checks],
+    }
+    return payload, {"seed": seed, "trials": trials, "depth": depth, "root": root_sym}
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command
 @click.option("--n", "depth", default=2, show_default=True)
 @click.option("--root", default=None, type=int)
 @click.option("--class-guard", default=10**6, show_default=True,
               help="Abort when the enumeration exceeds this many type classes.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Optional CSV of the exact sample-mean distribution.")
-def oracle(model_file, depth, root, class_guard, csv_path):
+def oracle(data, _model, reduced, depth, root, class_guard, csv_path):
     """Exact type-class enumeration at small depth."""
-    started = time.perf_counter()
-
-    def go():
-        digest, data, _, reduced = _load(model_file)
-        chain, _ = parse_weighted(data, reduced)
-        root_sym = root if root is not None else reduced.structure.a0
-        classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
-        dist = exact_mean_distribution(chain, depth, root_sym)
-        if csv_path:
-            with open(csv_path, "w") as fh:
-                fh.write("mean,probability\n")
-                for atom in dist.atoms:
-                    fh.write(f"{atom.mean!r},{atom.prob!r}\n")
-        payload = {
-            "depth": depth,
-            "root": root_sym,
-            "n_classes": len(classes),
-            "total_probability": dist.total_prob(),
-            "classes": [
-                {
-                    "levels": cls.levels,
-                    "count": str(cls.count),  # decimal string: counts overflow JSON numbers
-                    "log_prob": cls.log_prob,
-                }
-                for cls in classes
-            ],
-            "mean_atoms": [
-                {"mean": atom.mean, "probability": atom.prob} for atom in dist.atoms
-            ],
-        }
-        _emit(payload, "oracle", digest, {"n": depth, "root": root_sym}, started)
-
-    _run(go)
+    chain, _ = parse_weighted(data, reduced)
+    root_sym = root if root is not None else reduced.structure.a0
+    classes = enumerate_type_classes(chain, depth, root_sym, class_guard=class_guard)
+    dist = exact_mean_distribution(chain, depth, root_sym)
+    if csv_path:
+        with open(csv_path, "w") as fh:
+            fh.write("mean,probability\n")
+            for atom in dist.atoms:
+                fh.write(f"{atom.mean!r},{atom.prob!r}\n")
+    payload = {
+        "depth": depth,
+        "root": root_sym,
+        "n_classes": len(classes),
+        "total_probability": dist.total_prob(),
+        "classes": [
+            {
+                "levels": cls.levels,
+                "count": str(cls.count),  # decimal string: counts overflow JSON numbers
+                "log_prob": cls.log_prob,
+            }
+            for cls in classes
+        ],
+        "mean_atoms": [
+            {"mean": atom.mean, "probability": atom.prob} for atom in dist.atoms
+        ],
+    }
+    return payload, {"n": depth, "root": root_sym}
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-def entropy(model_file):
+@_command
+def entropy(_data, _model, reduced):
     """Topological-entropy recursion to its certified depth, with its error bound."""
-    started = time.perf_counter()
-
-    def go():
-        digest, _, _, reduced = _load(model_file)
-        seq = entropy_iterate(reduced)
-        payload = {
-            "depths": list(seq.depths),
-            "values": list(seq.values),
-            "h_top": seq.h_top,
-            "error_bound": seq.error_bound,
-        }
-        _emit(payload, "entropy", digest, {}, started)
-
-    _run(go)
+    seq = entropy_iterate(reduced)
+    payload = {
+        "depths": list(seq.depths),
+        "values": list(seq.values),
+        "h_top": seq.h_top,
+        "error_bound": seq.error_bound,
+    }
+    return payload, {}
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command
 @click.option("--eigen-tol", default=1e-11, show_default=True)
 @click.option("--tol", default=1e-6, show_default=True,
               help="Certificate tolerance: |min phase - dim|.")
-def measure(model_file, eigen_tol, tol):
+def measure(_data, _model, reduced, eigen_tol, tol):
     """Optimal Markov measure attaining the dimension, with certificate."""
-    started = time.perf_counter()
-
-    def go():
-        check_tolerance("certificate tolerance", tol)  # before the dimension solve
-        digest, _, _, reduced = _load(model_file)
-        if not is_irreducible(reduced):  # a reducible model gets only a bound, no measure
-            raise ModelValidationError("optimal measure needs an irreducible model")
-        report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
-        om = optimal_markov_measure(reduced, report, tol=tol, eigen_tol=eigen_tol)
-        payload = {
-            "M_star": om.M,
-            "pi_star": om.pi,
-            "phases": list(om.phases),
-            "validation_value": om.validation_value,
-            "dim": om.dim,
-        }
-        _emit(payload, "measure", digest, {"eigen_tol": eigen_tol, "tol": tol}, started)
-
-    _run(go)
+    check_tolerance("certificate tolerance", tol)  # before the dimension solve
+    if not is_irreducible(reduced):  # a reducible model gets only a bound, no measure
+        raise ModelValidationError("optimal measure needs an irreducible model")
+    report = hausdorff_dimension(reduced, eigen_tol=eigen_tol)
+    om = optimal_markov_measure(reduced, report, tol=tol, eigen_tol=eigen_tol)
+    payload = {
+        "M_star": om.M,
+        "pi_star": om.pi,
+        "phases": list(om.phases),
+        "validation_value": om.validation_value,
+        "dim": om.dim,
+    }
+    return payload, {"eigen_tol": eigen_tol, "tol": tol}
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ class SupportMismatch(TreeShiftError):
     """A traversed edge carries zero weight."""
 
 
-class SupportViolation(TreeShiftError):
-    """A stochastic matrix puts mass outside the reference support."""
-
-
 class ShapeMismatch(TreeShiftError):
     """Two trees have incompatible arity or depth."""
 

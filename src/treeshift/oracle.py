@@ -53,7 +53,6 @@ class TypeClass(NamedTuple):
     edges: tuple[tuple[tuple[int, ...], ...], ...]
     count: int
     log_prob: float
-    prob: Fraction | None
 
     @property
     def total_edge_counts(self) -> np.ndarray:
@@ -130,8 +129,6 @@ class _Column(NamedTuple):
     counts: tuple[int, ...]  # k[a, b] for every symbol a
     multinomial: int  # (d N_b)! / prod_a k[a, b]!
     log_terms: tuple[float, ...]  # k[a, b] log M[a, b], children in order
-    num: int  # prod_a M[a, b]^k[a, b] = num / den, when M is exact
-    den: int
 
 
 def enumerate_type_classes(
@@ -142,11 +139,11 @@ def enumerate_type_classes(
 ) -> list[TypeClass]:
     """Every integer count system consistent with depth n and the given root.
 
-    One pass: the recursion carries each class's count, edge log-probability
-    and exact probability down the levels.  The transitions out of a level are
-    built once per count vector N: each is one column choice per parent symbol,
-    with its edge matrix, the next level's counts, and the products of the
-    choices' multinomials, probabilities and log terms.  The last level is a
+    One pass: the recursion carries each class's count and edge
+    log-probability down the levels.  The transitions out of a level are built
+    once per count vector N: each is one column choice per parent symbol, with
+    its edge matrix, the next level's counts, the product of the choices'
+    multinomials and the sum of their log terms.  The last level is a
     loop that appends one class per transition, with no call per class.
     """
     model = chain.base
@@ -156,7 +153,6 @@ def enumerate_type_classes(
         raise ModelValidationError(f"class guard must be >= 0, got {class_guard}")
     root = _checked_root(model, n, root)
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
-    fractions = _exact_fractions(chain)
     log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0).tolist()
 
     @functools.cache
@@ -166,60 +162,52 @@ def enumerate_type_classes(
         out = []
         for comp in _compositions(d * parents, len(children[b])):
             counts = [0] * n_sym
-            num = den = 1
             for a, k in zip(children[b], comp):
                 counts[a] = k
-                if fractions is not None:
-                    num *= fractions[a][b].numerator ** k
-                    den *= fractions[a][b].denominator ** k
             log_terms = tuple(k * log_m[a][b] for a, k in zip(children[b], comp))
-            out.append(_Column(tuple(counts), _multinomial(d * parents, comp), log_terms, num, den))
+            out.append(_Column(tuple(counts), _multinomial(d * parents, comp), log_terms))
         return out
 
     @functools.cache
     def steps(nvec: tuple[int, ...]) -> list[tuple]:
         """Every transition out of a level with counts ``nvec``, as
-        (kmat, next_n, multinomial, num, den, log-probability)."""
+        (kmat, next_n, multinomial, log-probability)."""
         out = []
         for combo in itertools.product(*[columns(b, nb) for b, nb in enumerate(nvec)]):
             kmat = tuple(zip(*[col.counts for col in combo]))
-            mult = num = den = 1
+            mult = 1
             for col in combo:
                 mult *= col.multinomial
-                num *= col.num
-                den *= col.den
             # terms by parent, then child, summed from 0: the float order of a
             # per-class sum (the zero terms of absent parents change no bit)
             dlog = sum(itertools.chain.from_iterable(col.log_terms for col in combo))
-            out.append((kmat, tuple(map(sum, kmat)), mult, num, den, dlog))
+            out.append((kmat, tuple(map(sum, kmat)), mult, dlog))
         return out
 
-    exact = fractions is not None
     too_many = f"more than {class_guard} type classes at depth {n}"
     results: list[TypeClass] = []
     append = results.append
 
-    def rec(nvec, levels, edges, count, log_prob_edges, num, den):
+    def rec(nvec, levels, edges, count, log_prob_edges):
         if len(edges) < n - 1:
-            for kmat, next_n, mult, p, q, dlog in steps(nvec):
+            for kmat, next_n, mult, dlog in steps(nvec):
                 rec(next_n, levels + (next_n,), edges + (kmat,), count * mult,
-                    log_prob_edges + dlog, num * p, den * q)
+                    log_prob_edges + dlog)
             return
         # the last level, one class per transition: the log-probability adds
         # in the float order of a call per class
-        for kmat, next_n, mult, p, q, dlog in steps(nvec):
+        for kmat, next_n, mult, dlog in steps(nvec):
             c = count * mult
             append(TypeClass(levels + (next_n,), edges + (kmat,), c,
-                             _log_big(c) + (log_prob_edges + dlog),
-                             Fraction(c * num * p, den * q) if exact else None))
+                             _log_big(c) + (log_prob_edges + dlog)))
             if len(results) > class_guard:
                 raise TooLarge(too_many)
 
     start = tuple(1 if a == root else 0 for a in range(n_sym))
     if n:
-        rec(start, (start,), (), 1, 0.0, 1, 1)
+        rec(start, (start,), (), 1, 0.0)
     else:
-        append(TypeClass((start,), (), 1, 0.0, Fraction(1) if exact else None))
+        append(TypeClass((start,), (), 1, 0.0))
         if class_guard < 1:
             raise TooLarge(too_many)
     return results
@@ -245,14 +233,6 @@ class MeanDistribution:
     atoms: tuple[MeanAtom, ...]
     depth: int
     root: int
-
-    def prob_in(self, lo: float, hi: float) -> float:
-        return float(sum(a.prob for a in self.atoms if lo <= a.mean <= hi))
-
-    def prob_in_exact(self, lo: float, hi: float) -> Fraction | None:
-        if any(a.prob_exact is None for a in self.atoms):
-            return None
-        return sum(a.prob_exact for a in self.atoms if lo <= a.mean <= hi)
 
     def total_prob(self) -> float:
         return float(math.fsum(a.prob for a in self.atoms))

@@ -132,23 +132,15 @@ def reciprocal_on_support(m: np.ndarray) -> np.ndarray:
 
 
 def tilted_matrix(chain: WeightedChainModel, mu) -> np.ndarray:
-    """log of the tilted matrix E on the support, -inf off it.
+    """log of the tilted matrix E = M * W^mu on the support, -inf off it.
 
-    A scalar ``mu`` gives the usual E = M * W^mu.  A matrix ``mu`` tilts each
-    edge separately, log E = log M + mu (the per-edge exponent family); the
-    scalar case is the section mu_matrix = mu * log W of that family.  Either
-    form may carry a leading batch axis (``mu[K]`` or ``mu[K, n, n]``), which
-    gives ``log E[K, n, n]``.
+    A batch ``mu[K]`` of tilts gives ``log E[K, n, n]``.
     """
     mu = np.asarray(mu, dtype=float)
+    if mu.ndim > 1:
+        raise ModelValidationError(f"mu must be a scalar or a 1-D batch, got shape {mu.shape}")
     sup = chain.base.adjacency == 1
-    if mu.ndim <= 1:
-        tilt = mu[..., None, None] * chain.log_w
-    elif mu.shape[-2:] == chain.M.shape:
-        tilt = mu
-    else:
-        raise ModelValidationError(f"edge tilt must have shape {chain.M.shape}")
-    return np.where(sup, chain.log_m() + tilt, -np.inf)
+    return np.where(sup, chain.log_m() + mu[..., None, None] * chain.log_w, -np.inf)
 
 
 def _recursion_constant(chain: WeightedChainModel) -> float:
@@ -165,10 +157,10 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
 
     Each step is one ``psi(log E, d, x, log W, dx)`` call: the tangent is the
     forward-mode derivative in mu, so the slope costs no extra pass.  One call
-    runs a batch of K tilts (``mu[K]``, or edge tilts ``mu[K, n, n]``), each
-    with its own depth ``n[K]`` and root mask ``mask[K, n_symbols]`` (a shared
-    depth or mask broadcasts): x and dx are [K, n_symbols] arrays, the batch
-    runs to its largest depth and each row is read out at its own.
+    runs a batch of K tilts ``mu[K]``, each with its own depth ``n[K]`` and
+    root mask ``mask[K, n_symbols]`` (a shared depth or mask broadcasts): x and
+    dx are [K, n_symbols] arrays, the batch runs to its largest depth and each
+    row is read out at its own.
     """
     d = chain.arity
     size = chain.base.n_symbols
@@ -340,15 +332,14 @@ def _check_tol(tol: float) -> None:
 
 
 def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, tol: float):
-    """``pressure`` over a batch of tilts mu[K] (or mu[K, n, n]) in one recursion.
+    """``pressure`` over a batch of tilts mu[K] in one recursion.
 
     Returns the arrays (value, slope, depth, error bound); each row keeps its
     own certified depth and class mask.
     """
     d = chain.arity
     period = chain.base.structure
-    mu_scale = np.abs(mu) if mu.ndim == 1 else np.abs(mu).max(axis=(1, 2))
-    scale = _recursion_constant(chain) * (mu_scale + 2.0)
+    scale = _recursion_constant(chain) * (np.abs(mu) + 2.0)
     depths = [_certified_depth(s, d, tol) for s in scale]
     n = np.array(depths, dtype=int)
     masks = np.array([period.class_mask(j) for j in range(period.period)])

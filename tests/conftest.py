@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def _list_trees(model, n, root):
         layer = [(prefix + level, level) for prefix, last in layer for level in levels_under(last)]
     # the deepest level needs no pairs, only the flat trees
     return [tree for prefix, last in layer for tree in map(prefix.__add__, levels_under(last))]
+
+
+def class_prob(fractions, cls):
+    """A type class's exact probability, count * prod_(a,b) M[a,b]^K[a,b] with
+    K the edge counts summed over the levels; ``fractions`` is M as
+    ``oracle._exact_fractions`` gives it."""
+    num, den = cls.count, 1
+    for (a, b), k in np.ndenumerate(cls.total_edge_counts):
+        num *= fractions[a][b].numerator ** int(k)
+        den *= fractions[a][b].denominator ** int(k)
+    return Fraction(num, den)
 
 
 def ring_model(n):

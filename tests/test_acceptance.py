@@ -33,13 +33,20 @@ from treeshift import (
 )
 from treeshift.cli import main as cli_main
 from treeshift.oracle import (
+    _exact_fractions,
     block_counts,
     enumerate_type_classes,
     finite_rate,
 )
 from treeshift.stochastic import SampleConfig, lln_experiment
 
-from conftest import NINE_ADJACENCY, enumerate_blocks, make_model, random_a0_matrix
+from conftest import (
+    NINE_ADJACENCY,
+    class_prob,
+    enumerate_blocks,
+    make_model,
+    random_a0_matrix,
+)
 
 LOG2 = log(2)
 
@@ -232,7 +239,8 @@ class TestCriterion7:
             exact_total = None
             for n in (1, 2, 3, 4):
                 classes = enumerate_type_classes(example1_chain, n, root=0)
-                total = sum(c.prob for c in classes)
+                fractions = _exact_fractions(example1_chain)
+                total = sum(class_prob(fractions, c) for c in classes)
                 assert isinstance(total, Fraction) and total == 1
                 exact_total = total
 

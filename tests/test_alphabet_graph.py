@@ -12,10 +12,9 @@ from treeshift import (
     is_irreducible,
     linear_spectral_radius,
     model_from_dict,
-    reachability,
     reduce_a0,
 )
-from treeshift.alphabet_graph import _perron_value
+from treeshift.alphabet_graph import _perron_value, _recurrent, _sccs
 from treeshift.errors import (
     A1Violated,
     ClassInconsistency,
@@ -173,6 +172,15 @@ def _ref_linear_spectral_radius(w):
     return best
 
 
+def _closures(model):
+    """The descendant closure of each symbol: the rows of ``model.reach``."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in model.reach)
+
+
+def _recurrent_set(model):
+    return frozenset(np.flatnonzero(_recurrent(model.adjacency, model.reach)).tolist())
+
+
 def _outcome(fn, *args, **kwargs):
     """The result, or the error's class, message and carried fields."""
     try:
@@ -197,10 +205,10 @@ class TestAgainstTraversal:
 
         closures, recurrent, sccs = _ref_reachability(model.adjacency)
         assert is_irreducible(model) == (len(sccs) == 1)
-        rep = reachability(model)
-        assert rep.closures == closures
-        assert rep.recurrent == recurrent
-        assert set(rep.scc_list) == sccs and len(rep.scc_list) == len(sccs)
+        assert _closures(model) == closures
+        assert _recurrent_set(model) == recurrent
+        scc_list = _sccs(model.reach)
+        assert {frozenset(c) for c in scc_list} == sccs and len(scc_list) == len(sccs)
 
         keep = _ref_reduce_a0(model.adjacency)
         if keep is None:
@@ -226,9 +234,7 @@ class TestAgainstTraversal:
              [1, 1, 0, 0, 0],
              [0, 0, 1, 0, 0]]
         )
-        assert reachability(model).scc_list == (
-            frozenset({0}), frozenset({1, 3}), frozenset({2, 4})
-        )
+        assert _sccs(model.reach) == [[0], [1, 3], [2, 4]]
 
 
 class TestReduce:
@@ -290,7 +296,7 @@ class TestCachedStructure:
         except EmptyModel:
             return
         rows: dict[bytes, int] = {}
-        for a in sorted(reachability(model).recurrent):
+        for a in sorted(_recurrent_set(model)):
             rows.setdefault(model.reach[a].tobytes(), a)
         for a in rows.values():
             keep = np.flatnonzero(model.reach[a])
@@ -379,35 +385,33 @@ class TestPeriod:
 
 class TestReachability:
     def test_full(self, full2):
-        rep = reachability(full2)
-        assert rep.closures == (frozenset({0, 1}), frozenset({0, 1}))
-        assert rep.recurrent == frozenset({0, 1})
+        assert _closures(full2) == (frozenset({0, 1}), frozenset({0, 1}))
+        assert _recurrent_set(full2) == frozenset({0, 1})
 
     def test_upper_triangular(self):
-        rep = reachability(make_model([[1, 1], [0, 1]]))
-        assert rep.closures[1] == frozenset({0, 1})
-        assert rep.closures[0] == frozenset({0})
-        assert rep.recurrent == frozenset({0, 1})
+        model = make_model([[1, 1], [0, 1]])
+        closures = _closures(model)
+        assert closures[1] == frozenset({0, 1})
+        assert closures[0] == frozenset({0})
+        assert _recurrent_set(model) == frozenset({0, 1})
 
     def test_three_cycle_all_recurrent(self):
         model = make_model([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        rep = reachability(model)
-        assert rep.recurrent == frozenset({0, 1, 2})
+        assert _recurrent_set(model) == frozenset({0, 1, 2})
 
     def test_acyclic_matrix_has_empty_recurrent_set(self):
         # a strict DAG necessarily violates the column-sum condition (its
-        # sinks would be deleted), but reachability itself is total on it
+        # sinks would be deleted), but the closure itself is total on it
         model = make_model([[0, 0, 0], [1, 0, 0], [1, 1, 0]])
-        rep = reachability(model)
-        assert rep.recurrent == frozenset()
-        assert all(len(c) == 1 for c in rep.scc_list)
+        assert _recurrent_set(model) == frozenset()
+        assert all(len(c) == 1 for c in _sccs(model.reach))
 
     def test_closure_nesting(self, golden):
-        rep = reachability(golden)
+        closures = _closures(golden)
         for a in range(2):
-            assert a in rep.closures[a]
-            for b in rep.closures[a]:
-                assert rep.closures[b] <= rep.closures[a]
+            assert a in closures[a]
+            for b in closures[a]:
+                assert closures[b] <= closures[a]
 
 
 class TestIrreducible:

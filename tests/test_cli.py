@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -394,6 +395,43 @@ class TestMeasure:
         result = run_cli(["measure", write_model(EXAMPLE2_ADJ), "--tol", "1e-18"])
         # either the certificate is exact (fine) or it exits with the numeric code
         assert result.exit_code in (0, 4)
+
+
+# each subcommand on Example 1, and an option its body rejects (exit 3)
+SUBCOMMANDS = {
+    "analyze": ([], []),
+    "dimension": ([], ["--eigen-tol", "-1"]),
+    "rate": (["--csv", "rate.csv", "--grid-points", "5"], ["--class-index", "7"]),
+    "lln": ([], []),
+    "simulate": (["--trials", "5", "--depth", "4"], ["--depth", "-1"]),
+    "oracle": ([], ["--n", "-1"]),
+    "entropy": ([], []),
+    "measure": ([], ["--tol", "-1"]),
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_manifest_and_parse_error(self, write_model, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # where rate writes its CSV
+        args, bad_option = SUBCOMMANDS[command]  # every registered command has an entry
+        path = write_model(EXAMPLE1)
+        manifest = run_json([command, path, *args])["manifest"]
+        assert list(manifest) == [
+            "command", "input_sha256", "config", "tool_version", "wall_time_s"
+        ]
+        assert manifest["command"] == command
+        assert manifest["input_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+        # the model file is read before the body checks any option
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        result = run_cli([command, str(bad), *args, *bad_option])
+        assert result.exit_code == 2
+        record = json.loads(result.stderr.splitlines()[-1])
+        assert (record["exit_code"], record["error"]) == (2, "ModelParseError")
+        if bad_option:
+            assert run_cli([command, path, *args, *bad_option]).exit_code == 3
 
 
 class TestExitCodes:

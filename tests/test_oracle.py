@@ -38,13 +38,13 @@ from treeshift.oracle import (
 )
 from treeshift.rate_function import _tilted_recursion
 
-from conftest import enumerate_blocks, make_model, random_a0_matrix
+from conftest import class_prob, enumerate_blocks, make_model, random_a0_matrix
 
 
 # Reference: the per-leaf enumeration the one-pass recursion replaced.  Every
-# leaf recomputes the multinomials of all levels and every combination
-# multiplies Fraction powers entry by entry.  The property test below holds
-# the fast code to it, class for class and bit for bit.
+# leaf recomputes the multinomials of all levels and the log-probability of
+# every edge.  The property test below holds the fast code to it, class for
+# class and bit for bit.
 
 
 def _ref_enumerate(chain, n, root, class_guard):
@@ -52,12 +52,11 @@ def _ref_enumerate(chain, n, root, class_guard):
     d = model.arity
     n_sym = model.n_symbols
     children = [tuple(int(a) for a in model.children_of(b)) for b in range(n_sym)]
-    fractions = _exact_fractions(chain)
     log_m = np.where(chain.M > 0, np.log(np.where(chain.M > 0, chain.M, 1.0)), 0.0)
 
     results = []
 
-    def rec(level_idx, nvec, levels, edge_mats, log_prob_edges, prob_edges):
+    def rec(level_idx, nvec, levels, edge_mats, log_prob_edges):
         if level_idx == n:
             count = 1
             for i, kmat in enumerate(edge_mats):
@@ -65,15 +64,12 @@ def _ref_enumerate(chain, n, root, class_guard):
                     col = tuple(kmat[a][b] for a in range(n_sym))
                     if sum(col):
                         count *= _multinomial(sum(col), col)
-            log_prob = _log_big(count) + log_prob_edges
-            prob = count * prob_edges if prob_edges is not None else None
             results.append(
                 TypeClass(
                     levels=tuple(levels),
                     edges=tuple(tuple(tuple(row) for row in kmat) for kmat in edge_mats),
                     count=count,
-                    log_prob=log_prob,
-                    prob=prob,
+                    log_prob=_log_big(count) + log_prob_edges,
                 )
             )
             if len(results) > class_guard:
@@ -101,36 +97,25 @@ def _ref_enumerate(chain, n, root, class_guard):
             dlog = sum(
                 kmat[a][b] * log_m[a, b] for b in parents for a in children[b]
             )
-            dprob = None
-            if prob_edges is not None:
-                dprob = prob_edges
-                for b in parents:
-                    for a in children[b]:
-                        if kmat[a][b]:
-                            dprob *= fractions[a][b] ** kmat[a][b]
-            rec(
-                level_idx + 1,
-                next_n,
-                levels + [next_n],
-                edge_mats + [kmat],
-                log_prob_edges + dlog,
-                dprob,
-            )
+            rec(level_idx + 1, next_n, levels + [next_n], edge_mats + [kmat],
+                log_prob_edges + dlog)
 
     start = tuple(1 if a == root else 0 for a in range(n_sym))
-    rec(0, start, [start], [], 0.0, Fraction(1) if fractions is not None else None)
+    rec(0, start, [start], [], 0.0)
     return results
 
 
 # Reference: the law of the sample mean as the grouping of the enumerated type
 # classes by their weighted edge counts.  The generating function must give
-# the same atoms: the same keys and means, and the same exact probabilities.
+# the same atoms: the same keys and means, and the same exact probabilities
+# (each class's from its count and edge counts, ``class_prob``).
 
 
 def mean_distribution(chain, classes, n, root):
     """Group the depth-n type classes of ``root`` by their weighted edge counts."""
     total_nodes = lattice_size(chain.arity, n)
     log_w = chain.log_w
+    fractions = _exact_fractions(chain)
     weighted_edges = [
         (a, b) for a in range(chain.base.n_symbols)
         for b in range(chain.base.n_symbols) if log_w[a, b] != 0.0
@@ -147,7 +132,9 @@ def mean_distribution(chain, classes, n, root):
             MeanAtom(
                 mean=float(sum(cnt * log_w[a, b] for a, b, cnt in key) / total_nodes),
                 prob=float(math.fsum(math.exp(cls.log_prob) for cls in members)),
-                prob_exact=None if members[0].prob is None else sum(c.prob for c in members),
+                prob_exact=None if fractions is None else sum(
+                    class_prob(fractions, c) for c in members
+                ),
                 weighted_counts=key,
             )
         )
@@ -234,12 +221,13 @@ class TestTypeClasses:
     def test_probabilities_sum_to_one(self, example1):
         for n in (1, 2, 3, 4):
             classes = enumerate_type_classes(example1, n, root=0)
-            total = sum(c.prob for c in classes)
+            fractions = _exact_fractions(example1)
+            total = sum(class_prob(fractions, c) for c in classes)
             assert isinstance(total, Fraction) and total == 1
 
     def test_inexact_matrix_falls_back_to_logs(self, example2):
+        assert _exact_fractions(example2) is None
         classes = enumerate_type_classes(example2, 2, root=0)
-        assert all(c.prob is None for c in classes)
         total = sum(np.exp(c.log_prob) for c in classes)
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -286,11 +274,10 @@ class TestTypeClasses:
                 assert 1 <= len(trans) <= trans_bound
 
     def test_depth_zero_is_the_root_alone(self, example1, example2):
-        assert enumerate_type_classes(example1, 0, root=1) == [
-            TypeClass(((0, 1),), (), 1, 0.0, Fraction(1))
-        ]
-        (cls,) = enumerate_type_classes(example2, 0, root=0)
-        assert cls == (((1, 0, 0),), (), 1, 0.0, None) and cls.prob is None
+        (cls,) = enumerate_type_classes(example1, 0, root=1)
+        assert cls == TypeClass(((0, 1),), (), 1, 0.0)
+        assert class_prob(_exact_fractions(example1), cls) == 1
+        assert enumerate_type_classes(example2, 0, root=0) == [(((1, 0, 0),), (), 1, 0.0)]
         # the one class is more than a guard of 0
         with pytest.raises(TooLarge):
             enumerate_type_classes(example1, 0, root=0, class_guard=0)
@@ -357,7 +344,8 @@ class TestExactMeanDistribution:
         zero = [a for a in dist.atoms if a.mean == 0.0]
         assert len(zero) == 1
         assert zero[0].prob_exact == Fraction(1, 4)
-        assert dist.prob_in_exact(-1e-9, 1e-9) == Fraction(1, 4)
+        near_zero = [a.prob_exact for a in dist.atoms if -1e-9 <= a.mean <= 1e-9]
+        assert sum(near_zero) == Fraction(1, 4)
 
     def test_total_probability(self, example1, example2):
         for chain in (example1, example2):
@@ -434,7 +422,7 @@ class TestExactMeanDistribution:
         gaps = []
         for n in (2, 3, 4, 5):
             dist = exact_mean_distribution(example1, n, root=0)
-            p = dist.prob_in(alpha - 0.05, alpha + 0.05)
+            p = sum(a.prob for a in dist.atoms if alpha - 0.05 <= a.mean <= alpha + 0.05)
             gaps.append(abs(log(p) / lattice_size(2, n) - target))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05

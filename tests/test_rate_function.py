@@ -18,7 +18,7 @@ from treeshift import (
     tilted_matrix,
 )
 from treeshift import rate_function
-from treeshift.errors import ModelValidationError, SupportViolation
+from treeshift.errors import ModelValidationError, TreeShiftError
 from treeshift.oracle import finite_rate
 from treeshift.rate_function import (
     BOUNDARY_SLACK,
@@ -63,6 +63,10 @@ class TestChainValidation:
         with pytest.raises(ModelValidationError) as err:
             parse_weighted({"M": m.tolist()}, golden)
         assert err.value.col == 0
+
+
+class SupportViolation(TreeShiftError):
+    """A stochastic matrix puts mass outside the reference support."""
 
 
 def phi(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -131,19 +135,10 @@ class TestTiltedMatrix:
         log_e = tilted_matrix(chain, mu)
         assert np.array_equal(np.isfinite(log_e), chain.base.adjacency == 1)
 
-    def test_edgewise_tilt_scalar_section(self, example1):
-        # the scalar tilt is the mu*logW section of the per-edge tilt family,
-        # so pressures agree along that section (spot check; the full
-        # vector-valued dual is out of scope)
-        sup = example1.base.adjacency == 1
-        log_w = np.zeros_like(example1.W)
-        log_w[sup] = np.log(example1.W[sup])
-        for mu in (-2.0, 0.4, 1.0, 3.5):
-            scalar = pressure(example1, mu, 0, tol=1e-14)
-            section = pressure(example1, mu * log_w, 0, tol=1e-14)
-            assert section.value == pytest.approx(
-                scalar.value, abs=scalar.error_bound + section.error_bound
-            )
+    def test_matrix_tilt_rejected(self, example1):
+        # only the scalar family mu * log W is a tilt; a matrix is no batch of them
+        with pytest.raises(ModelValidationError):
+            tilted_matrix(example1, np.zeros((2, 2)))
 
 
 class TestPressure:

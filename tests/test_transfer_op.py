@@ -13,9 +13,9 @@ from treeshift import (
     linear_spectral_radius,
     principal_eigenpair,
     psi,
-    reachability,
     reduce_a0,
 )
+from treeshift.alphabet_graph import _recurrent
 from treeshift.dimension import _cyclic_blocks, simplex_to_ratios
 from treeshift.errors import BadExponent, EmptyModel, NoConvergence
 from treeshift.oracle import block_counts
@@ -372,8 +372,8 @@ def _try_period(model):
 
 def _entropy_value(model, depth):
     """log(sum_a c_depth(a)) / |Lambda(depth)| on the model's core, by a plain loop."""
-    rep = reachability(model)
-    core = sorted(set().union(*(rep.closures[a] for a in rep.recurrent)))
+    reach = model.reach
+    core = np.flatnonzero(reach[_recurrent(model.adjacency, reach)].any(axis=0)).tolist()
     log_adj = log_weights(model.adjacency[np.ix_(core, core)])
     d, x = model.arity, np.zeros(len(core))
     for _ in range(depth):
