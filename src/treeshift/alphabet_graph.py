@@ -33,7 +33,10 @@ from .errors import (
     NoConvergence,
 )
 
-DEFAULT_MAX_SYMBOLS = 64
+MAX_SYMBOLS = 64
+# Collatz-Wielandt bracket width and step cap of linear_spectral_radius
+PERRON_TOL = 1e-12
+PERRON_MAX_ITER = 10**5
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class PeriodStructure:
         return mask
 
 
-def model_from_dict(data: dict, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> AdjacencyModel:
+def model_from_dict(data: dict) -> AdjacencyModel:
     """Build a model from the JSON schema {"symbols", "adjacency", "d", ...}.
 
     ``adjacency`` is row-major with row = child.  Raises ModelParseError for
@@ -131,10 +134,8 @@ def model_from_dict(data: dict, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Adjac
         d = int(data["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(f"model file needs 'symbols', 'adjacency', 'd': {exc}") from exc
-    if len(symbols) > max_symbols:
-        raise ModelValidationError(
-            f"{len(symbols)} symbols exceeds the configured cap of {max_symbols}"
-        )
+    if len(symbols) > MAX_SYMBOLS:
+        raise ModelValidationError(f"{len(symbols)} symbols exceeds the cap of {MAX_SYMBOLS}")
     n = len(symbols)
     if not isinstance(rows, list) or len(rows) != n:
         raise ModelValidationError(f"adjacency must have {n} rows", row=len(rows) if isinstance(rows, list) else None)
@@ -248,9 +249,7 @@ def is_irreducible(model: AdjacencyModel) -> bool:
     return bool(model.reach.all())
 
 
-def linear_spectral_radius(
-    w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**5
-) -> float:
+def linear_spectral_radius(w: np.ndarray) -> float:
     """log of the spectral radius of a nonnegative matrix.
 
     Decomposes into SCCs and takes the max Perron value over the diagonal
@@ -265,7 +264,7 @@ def linear_spectral_radius(
         raise ModelValidationError("matrix must be nonnegative")
     best = -np.inf
     for comp in _sccs(_reach(w > 0)):
-        rho = _perron_value(w[np.ix_(comp, comp)], tol, max_iter)
+        rho = _perron_value(w[np.ix_(comp, comp)], PERRON_TOL, PERRON_MAX_ITER)
         best = max(best, log(rho) if rho > 0 else -np.inf)
     return best
 

@@ -167,7 +167,7 @@ def _command(body):
     """
 
     @main.command()
-    @click.argument("model_file", type=click.Path(exists=True))
+    @click.argument("model_file", type=click.Path())
     @functools.wraps(body)
     def command(model_file, **options):
         started = time.perf_counter()

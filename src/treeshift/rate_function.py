@@ -32,6 +32,9 @@ BOUNDARY_SLACK = 1e-7
 # the dual is read off the final root bracket: exact where the depth-n readout
 # has a kink, elsewhere off by about P''(mu) ROOT_XTOL^2
 ROOT_XTOL = 1e-8
+# rate_curve's grid runs past each domain end by this share of its width, at least the floor
+GRID_MARGIN = 0.05
+GRID_MIN_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -525,7 +528,6 @@ def rate_curve(
     chain: WeightedChainModel,
     class_index: int = 0,
     n_points: int = 200,
-    margin: float | None = None,
     pressure_tol: float = PRESSURE_TOL,
 ) -> RateCurve:
     """Evaluate the rate over a uniform grid clipped around its finite domain.
@@ -540,8 +542,7 @@ def rate_curve(
     if not 0 <= class_index < p:
         raise ModelValidationError(f"class index must lie in [0, {p}), got {class_index}")
     a1, a2 = domain_endpoints(chain, class_index)
-    if margin is None:
-        margin = max(0.05 * (a2 - a1), 0.01)
+    margin = max(GRID_MARGIN * (a2 - a1), GRID_MIN_MARGIN)
     alphas = np.linspace(a1 - margin, a2 + margin, n_points)
     values, argmax, passes, max_depth = _dual_rows(
         chain, class_index, alphas, (a1, a2), pressure_tol

@@ -4,27 +4,27 @@ Randomness contract: every draw at level k of trial t comes from one
 Philox-4x64 stream keyed by (seed, t << 32 | k), so samples are a pure
 function of (seed, trial, level) and independent of evaluation order; trial
 rows reduce in trial order.  A root drawn from a law takes the first uniform
-of level 0's stream.  Two samplers read these streams.  ``sample_tree`` labels
-BFS node i = level start + offset by inverse CDF from the uniform at that
-offset of its level's stream, and keeps the whole tree.  ``running_means``
-draws only each level's type: with N_b parents labeled b, the edge counts out
-of them are Multinomial(d N_b, M[:, b]), drawn for b = 0, 1, ... in order from
-the level's stream.  The two share the law of the types, not the draws.
+of level 0's stream.  Each level's type comes first: with N_b parents labeled
+b, the edge counts out of them are Multinomial(d N_b, M[:, b]), drawn for
+b = 0, 1, ... in order from the level's stream.  ``running_means`` reads only
+the types.  ``sample_tree`` draws the same types and then, for b = 0, 1, ...
+in order, places b's children over the slots under b-labeled parents (BFS
+order) in a uniform random order from the rest of the level's stream, so its
+tree has exactly the type ``running_means`` reads.
 Generator name recorded in reports: "philox4x64".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
 
-from .errors import ModelValidationError, TooLarge
+from .errors import ModelValidationError
 from .rate_function import WeightedChainModel, lln_limit
 from .tree_core import LabeledTree, TreeShape, lattice_size
 
 GENERATOR_NAME = "philox4x64"
-DEFAULT_SAMPLE_CAP = 2**25
 # standard errors a phase mean may lie from its limit and pass
 PASS_SIGMA = 3.0
 
@@ -37,19 +37,12 @@ class SampleConfig:
     trials: int = 1
     seed: int = 0
     root: int | np.ndarray = 0
-    node_cap: int = DEFAULT_SAMPLE_CAP
 
     def __post_init__(self):
         if self.trials < 1:
             raise ModelValidationError(f"need at least one trial, got {self.trials}")
         if self.depth < 0:
             raise ModelValidationError(f"depth must be >= 0, got {self.depth}")
-
-    def check_size(self, d: int) -> int:
-        count = lattice_size(d, self.depth)
-        if count > self.node_cap:
-            raise TooLarge(f"|Lambda({self.depth})| = {count} exceeds cap {self.node_cap}")
-        return count
 
 
 def _level_stream(
@@ -87,47 +80,15 @@ def _root_label(chain: WeightedChainModel, config: SampleConfig, trial: int) -> 
     return int(min(np.searchsorted(np.cumsum(pi), u, side="right"), pi.size - 1))
 
 
-def _next_level(chain, parents: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one full level given the parent labels per slot.
-
-    The label is the count of the parent column's cumulative sums at or below
-    u: the slots are grouped by parent symbol and each group takes one binary
-    search, so memory stays linear in the level.  A draw past a column total
-    that rounds below 1 takes the parent's last supported child, so every
-    drawn edge is admissible.
-    """
-    cum = np.cumsum(chain.M, axis=0)
-    order = np.argsort(parents, kind="stable")
-    ends = np.cumsum(np.bincount(parents, minlength=cum.shape[1]))
-    labels = np.empty(u.size, dtype=np.intp)
-    for b, slots in enumerate(np.split(order, ends[:-1])):
-        labels[slots] = np.searchsorted(cum[:, b], u[slots], side="right")
-    last_child = chain.M.shape[0] - 1 - np.argmax(chain.M[::-1] > 0, axis=0)
-    return np.minimum(labels, last_child[parents]).astype(np.int16)
-
-
-def sample_tree(chain: WeightedChainModel, config: SampleConfig, trial: int = 0) -> LabeledTree:
-    """One labeled tree, BFS order, fully materialized (guarded by the node cap)."""
-    d = chain.arity
-    config.check_size(d)
-    levels = [np.array([_root_label(chain, config, trial)], dtype=np.int16)]
-    rng = None
-    for k in range(1, config.depth + 1):
-        parents = np.repeat(levels[-1], d)
-        rng = _level_stream(config.seed, trial, k, rng)
-        u = rng.random(d**k)
-        levels.append(_next_level(chain, parents, u))
-    labels = np.concatenate(levels)
-    return LabeledTree(TreeShape(d, config.depth, node_cap=config.node_cap), labels)
-
-
 def _edge_counts(chain: WeightedChainModel, config: SampleConfig, trial: int):
-    """Per-level type of one sampled tree: yields N[a, b], the edges b -> a into level k.
+    """Per-level type of one sampled tree: yields (N, rng), N[a, b] the edges b -> a into level k.
 
     Given the parent counts N_b, the children of the parents labeled b are
     Multinomial(d N_b, M[:, b]), independent across b.  Each draw runs over
     b's supported children only, with the column renormalized, so every
     drawn edge is admissible even where a column sums to slightly below 1.
+    ``rng`` is the level's stream after those draws; it is re-keyed for the
+    next level when the generator resumes.
     """
     d, n = chain.arity, chain.base.n_symbols
     sup = chain.base.adjacency == 1
@@ -141,8 +102,33 @@ def _edge_counts(chain: WeightedChainModel, config: SampleConfig, trial: int):
         edges = np.zeros((n, n), dtype=np.int64)
         for b in np.flatnonzero(counts):
             edges[children[b], b] = rng.multinomial(d * counts[b], law[b])
-        yield edges
+        yield edges, rng
         counts = edges.sum(axis=1)
+
+
+def sample_tree(chain: WeightedChainModel, config: SampleConfig, trial: int = 0) -> LabeledTree:
+    """One labeled tree, BFS order, fully materialized (guarded by the node cap).
+
+    Level k takes the type ``_edge_counts`` draws.  The slots under parents
+    labeled b, grouped in BFS order, receive b's drawn children in an order
+    drawn uniformly from the rest of the level's stream.  A multinomial type
+    in uniform random order has the law of independent draws from M[:, b].
+    """
+    d = chain.arity
+    shape = TreeShape(d, config.depth)
+    labels = np.empty(shape.node_count, dtype=np.int16)
+    labels[0] = _root_label(chain, config, trial)
+    symbols = np.arange(chain.base.n_symbols, dtype=np.int16)
+    fixed = replace(config, root=int(labels[0]))  # the root is drawn once, above
+    for k, (edges, rng) in enumerate(_edge_counts(chain, fixed, trial), start=1):
+        slots = np.argsort(np.repeat(labels[shape.level_slice(k - 1)], d), kind="stable")
+        level = labels[shape.level_slice(k)]
+        start = 0
+        for b in np.flatnonzero(edges.sum(axis=0)):
+            kids = rng.permutation(np.repeat(symbols, edges[:, b]))
+            level[slots[start:start + kids.size]] = kids
+            start += kids.size
+    return LabeledTree(shape, labels)
 
 
 def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -> np.ndarray:
@@ -158,7 +144,7 @@ def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -
         )
     out = np.zeros(config.depth + 1)
     acc = 0.0
-    for k, edges in enumerate(_edge_counts(chain, config, trial), start=1):
+    for k, (edges, _) in enumerate(_edge_counts(chain, config, trial), start=1):
         acc += float((edges * chain.log_w).sum())
         out[k] = acc / lattice_size(d, k)
     return out

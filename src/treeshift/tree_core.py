@@ -15,7 +15,8 @@ from .alphabet_graph import AdjacencyModel
 from .errors import InadmissibleTree, Overflow, ShapeMismatch, SupportMismatch, TooLarge
 
 INT64_MAX = 2**63 - 1
-DEFAULT_NODE_CAP = 2**27
+# nodes a stored tree may hold: 2^25 int16 labels are 64 MB
+NODE_CAP = 2**25
 
 
 def lattice_size(d: int, n: int) -> int:
@@ -30,18 +31,15 @@ def lattice_size(d: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Geometry of a depth-n rooted d-tree."""
+    """Geometry of a depth-n rooted d-tree of at most NODE_CAP nodes."""
 
     arity: int
     depth: int
-    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
         count = lattice_size(self.arity, self.depth)
-        if count > self.node_cap:
-            raise TooLarge(
-                f"|Lambda({self.depth})| = {count} exceeds the node cap {self.node_cap}"
-            )
+        if count > NODE_CAP:
+            raise TooLarge(f"|Lambda({self.depth})| = {count} exceeds the node cap {NODE_CAP}")
 
     @property
     def node_count(self) -> int:

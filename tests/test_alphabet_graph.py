@@ -14,6 +14,7 @@ from treeshift import (
     model_from_dict,
     reduce_a0,
 )
+from treeshift import alphabet_graph
 from treeshift.alphabet_graph import _perron_value, _recurrent, _sccs
 from treeshift.errors import (
     A1Violated,
@@ -489,7 +490,7 @@ class TestModelParsing:
             model_from_dict(data)
         assert err.value.row == 1
 
-    def test_symbol_cap(self):
+    def test_symbol_cap(self, monkeypatch):
         data = {
             "symbols": [str(i) for i in range(65)],
             "adjacency": [[1] * 65 for _ in range(65)],
@@ -497,5 +498,6 @@ class TestModelParsing:
         }
         with pytest.raises(ModelValidationError):
             model_from_dict(data)
-        model = model_from_dict(data, max_symbols=70)
+        monkeypatch.setattr(alphabet_graph, "MAX_SYMBOLS", 70)
+        model = model_from_dict(data)
         assert model.n_symbols == 65

@@ -423,16 +423,17 @@ class TestRunner:
         assert manifest["command"] == command
         assert manifest["input_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
 
-        # the model file is read before the body checks any option
+        # the model file is read before the body checks any option; a file
+        # that does not parse and one that does not exist are parse errors
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
-        result = run_cli([command, str(bad), *args, *bad_option])
-        assert result.exit_code == 2
-        record = json.loads(result.stderr.splitlines()[-1])
-        assert (record["exit_code"], record["error"]) == (2, "ModelParseError")
+        for model_file in (bad, tmp_path / "missing.json"):
+            result = run_cli([command, str(model_file), *args, *bad_option])
+            assert result.exit_code == 2
+            record = json.loads(result.stderr.splitlines()[-1])
+            assert (record["exit_code"], record["error"]) == (2, "ModelParseError")
         if bad_option:
             assert run_cli([command, path, *args, *bad_option]).exit_code == 3
-
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path):

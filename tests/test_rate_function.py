@@ -356,7 +356,10 @@ class TestExactDual:
         chain = random_weighted_chain(seed)
         period = find_a0_and_period(chain.base)
         for j in range(period.period):
-            curve = rate_curve(chain, j, n_points=5, margin=1e-8)
+            with pytest.MonkeyPatch.context() as patch:  # the grid runs 1e-8 past each end
+                patch.setattr(rate_function, "GRID_MARGIN", 0.0)
+                patch.setattr(rate_function, "GRID_MIN_MARGIN", 1e-8)
+                curve = rate_curve(chain, j, n_points=5)
             cap = 2.0**MAX_DOUBLINGS
             assert curve.argmax_mu[0] == -cap and curve.argmax_mu[-1] == cap
             ends = (curve.alpha1, curve.alpha2)

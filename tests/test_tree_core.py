@@ -35,8 +35,11 @@ class TestLatticeSize:
             lattice_size(2, 64)
 
     def test_node_cap(self):
-        with pytest.raises(TooLarge):
-            TreeShape(2, 40)
+        # NODE_CAP = 2^25 nodes: depth 24 at d = 2 holds 2^25 - 1
+        assert TreeShape(2, 24).node_count == 2**25 - 1
+        for depth in (25, 40):
+            with pytest.raises(TooLarge):
+                TreeShape(2, depth)
 
 
 class TestShape:
