@@ -77,4 +77,5 @@ class TooLarge(TreeShiftError):
 
 
 class Overflow(TreeShiftError):
-    """Integer quantity exceeds 2**63 - 1."""
+    """A quantity leaves its number type's range: an integer past 2**63 - 1, or a
+    floating-point result that is no longer finite."""

@@ -1,5 +1,5 @@
-"""Exact ground truth at tiny scale: block counts, type classes, the law of the
-sample mean, finite-n duality.
+"""Exact ground truth at tiny scale: type classes, the law of the sample mean,
+finite-n duality.
 
 Counting conventions.  A type class fixes the per-level symbol counts N^(i)
 and the per-level edge counts k^(i)[a, b] (children labeled a under parents
@@ -29,21 +29,6 @@ from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted
 from .tree_core import lattice_size
 
 CLASS_GUARD = 10**6
-
-
-def block_counts(model: AdjacencyModel, n: int) -> list[int]:
-    """Exact number of admissible depth-n labeled trees per root symbol.
-
-    Uses the recursion c_{k+1}(b) = (sum_a A[a, b] c_k(a))^d on big integers.
-    """
-    counts = [1] * model.n_symbols
-    adj = model.adjacency
-    for _ in range(n):
-        counts = [
-            int(sum(counts[a] for a in range(model.n_symbols) if adj[a, b])) ** model.arity
-            for b in range(model.n_symbols)
-        ]
-    return counts
 
 
 class TypeClass(NamedTuple):

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .alphabet_graph import AdjacencyModel
-from .errors import ModelParseError, ModelValidationError
+from .errors import ModelParseError, ModelValidationError, Overflow
 from .transfer_op import PRESSURE_TOL, _certified_depth, log_weights, psi
 
 STOCHASTIC_TOL = 1e-12
@@ -152,6 +152,11 @@ def _recursion_constant(chain: WeightedChainModel) -> float:
     return max(chain.log_w_max, c_m, log(chain.base.n_symbols))
 
 
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` [K, ...] with the same shape, its first axis stored last in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
 def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     """max of x_n over the roots in ``mask``, and its derivative along log W.
 
@@ -163,21 +168,26 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     runs a batch of K tilts ``mu[K]``, each with its own depth ``n[K]`` and
     root mask ``mask[K, n_symbols]`` (a shared depth or mask broadcasts): x and
     dx are [K, n_symbols] arrays, the batch runs to its largest depth and each
-    row is read out at its own.
+    row is read out at its own.  Every array keeps its [K, ...] shape but
+    stores the batch axis last: numpy's ufuncs follow their inputs' memory
+    order, so each add, exp and reduction in ``psi`` runs over contiguous
+    K-long rows instead of n-long ones, with the same arithmetic per entry.
     """
     d = chain.arity
     size = chain.base.n_symbols
-    log_e = tilted_matrix(chain, mu).reshape((-1, size, size))
+    log_e = _batch_last(tilted_matrix(chain, mu).reshape((-1, size, size)))
     rows = log_e.shape[0]
+    log_w = _batch_last(np.broadcast_to(chain.log_w, log_e.shape))
     depth = np.broadcast_to(n, rows)
     mask = np.broadcast_to(mask, (rows, size))
-    x = np.zeros((rows, size))
-    dx = np.zeros_like(x)
-    x_n, dx_n = x.copy(), dx.copy()  # a depth-0 row reads x_0 = 0
-    for k in range(1, int(depth.max(initial=0)) + 1):
-        x, dx = psi(log_e, d, x, chain.log_w, dx)
-        done = depth == k
-        x_n[done], dx_n[done] = x[done], dx[done]
+    # a depth-0 row reads x_0 = 0
+    x, dx, x_n, dx_n = np.zeros((4, size, rows)).transpose(0, 2, 1)
+    ends = {k: np.flatnonzero(depth == k) for k in set(depth.tolist())}
+    for k in range(1, max(ends, default=0) + 1):
+        x, dx = psi(log_e, d, x, log_w, dx)
+        if k in ends:
+            done = ends[k]
+            x_n[done], dx_n[done] = x[done], dx[done]
     root = np.where(mask, x_n, -np.inf).argmax(axis=1)
     return x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
 
@@ -334,23 +344,39 @@ def _check_tol(tol: float) -> None:
         raise ModelValidationError(f"pressure tolerance must be finite and > 0, got {tol!r}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not isfinite(value):
+        raise ModelValidationError(f"{name} must be finite, got {value!r}")
+
+
 def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, tol: float):
     """``pressure`` over a batch of tilts mu[K] in one recursion.
 
     Returns the arrays (value, slope, depth, error bound); each row keeps its
-    own certified depth and class mask.
+    own certified depth and class mask.  Raises ``Overflow`` when a depth or
+    a readout leaves the float range.
     """
     d = chain.arity
     period = chain.base.structure
     scale = _recursion_constant(chain) * (np.abs(mu) + 2.0)
-    depths = [_certified_depth(s, d, tol) for s in scale]
+    try:
+        depths = [_certified_depth(s, d, tol) for s in scale.tolist()]
+        # Python's float powers: numpy's can differ from them in the last bit
+        factors = {k: ((d - 1.0) / d ** (k + 1.0), d ** -k) for k in set(depths)}
+    except OverflowError:
+        raise Overflow(
+            f"the certified depth overflows at |mu| = {float(np.abs(mu).max())!r}, tol = {tol!r}"
+        ) from None
     n = np.array(depths, dtype=int)
     masks = np.array([period.class_mask(j) for j in range(period.period)])
-    top, slope = _tilted_recursion(chain, mu, n, masks[(class_index - n) % period.period])
-    # Python's float powers: numpy's can differ from them in the last bit
-    weight = np.array([(d - 1.0) / d ** (k + 1.0) for k in depths])
-    bound = scale * np.array([d ** -k for k in depths])
-    return weight * top, weight * slope, n, bound
+    # an overflow inside the recursion shows in its readout, refused below
+    with np.errstate(over="ignore"):
+        top, slope = _tilted_recursion(chain, mu, n, masks[(class_index - n) % period.period])
+    weight = np.array([factors[k][0] for k in depths])
+    value, slope = weight * top, weight * slope
+    if not (np.isfinite(value).all() and np.isfinite(slope).all()):
+        raise Overflow(f"the pressure readout is not finite at |mu| = {float(np.abs(mu).max())!r}")
+    return value, slope, n, scale * np.array([factors[k][1] for k in depths])
 
 
 def pressure(
@@ -365,9 +391,11 @@ def pressure(
     over the class of root symbols compatible with bottom class j at depth n,
     i.e. class (j - n) mod p.  n is the first depth where the a-priori bound
     C d^(-n) (|mu| + 2) drops below ``tol``.  The slope is read at the same
-    root from the recursion's tangent.
+    root from the recursion's tangent.  A readout that overflows raises
+    ``Overflow``.
     """
     _check_tol(tol)
+    _check_finite("mu", mu)
     value, slope, depth, bound = _pressure_rows(
         chain, np.asarray(mu, dtype=float)[None], class_index, tol
     )
@@ -398,6 +426,7 @@ def rate(
 ) -> float:
     """Legendre-type dual sup_mu (mu alpha - pressure(mu)); +inf outside the domain."""
     _check_tol(pressure_tol)
+    _check_finite("alpha", alpha)
     endpoints = domain_endpoints(chain, class_index)
     values = _dual_rows(
         chain, class_index, np.array([alpha], dtype=float), endpoints, pressure_tol

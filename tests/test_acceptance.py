@@ -34,7 +34,6 @@ from treeshift import (
 from treeshift.cli import main as cli_main
 from treeshift.oracle import (
     _exact_fractions,
-    block_counts,
     enumerate_type_classes,
     finite_rate,
 )
@@ -42,6 +41,7 @@ from treeshift.stochastic import SampleConfig, lln_experiment
 
 from conftest import (
     NINE_ADJACENCY,
+    block_counts,
     class_prob,
     enumerate_blocks,
     make_model,

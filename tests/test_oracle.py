@@ -31,14 +31,13 @@ from treeshift.oracle import (
     _exact_fractions,
     _log_big,
     _multinomial,
-    block_counts,
     enumerate_type_classes,
     exact_mean_distribution,
     finite_rate,
 )
 from treeshift.rate_function import _tilted_recursion
 
-from conftest import class_prob, enumerate_blocks, make_model, random_a0_matrix
+from conftest import block_counts, class_prob, enumerate_blocks, make_model, random_a0_matrix
 
 
 # Reference: the per-leaf enumeration the one-pass recursion replaced.  Every

@@ -1,3 +1,5 @@
+import hashlib
+import io
 from math import inf, log
 
 import numpy as np
@@ -18,7 +20,7 @@ from treeshift import (
     tilted_matrix,
 )
 from treeshift import rate_function
-from treeshift.errors import ModelValidationError, TreeShiftError
+from treeshift.errors import ModelValidationError, Overflow, TreeShiftError
 from treeshift.oracle import finite_rate
 from treeshift.rate_function import (
     BOUNDARY_SLACK,
@@ -32,6 +34,7 @@ from treeshift.rate_function import (
     parse_weighted,
     stationary_class_vector,
 )
+from treeshift.transfer_op import psi
 from treeshift.tree_core import lattice_size
 
 ALPHA_STAR_1 = log(2) / 3  # Example-1 limit
@@ -165,6 +168,23 @@ class TestPressure:
             second = np.diff(vals, 2)
             assert second.min() > -1e-8
 
+    @pytest.mark.parametrize("mu", [float("nan"), inf, -inf])
+    def test_non_finite_mu_refused(self, example1, mu):
+        with pytest.raises(ModelValidationError):
+            pressure(example1, mu)
+
+    def test_overflowing_readout_refused(self, example1):
+        # the depth-698 recursion overflows; its nan readout came back as a value
+        with pytest.raises(Overflow):
+            pressure(example1, 1e200)
+        # at -1e200 only the edges with log W = 0 count, and nothing overflows
+        assert pressure(example1, -1e200).value == pytest.approx(log(0.5) / 2, abs=1e-12)
+
+    def test_overflowing_depth_refused(self, example1):
+        # scale / tol is past the float range, so no certified depth exists
+        with pytest.raises(Overflow):
+            pressure(example1, 1e300)
+
 
 class TestRate:
     def test_zero_at_limit_value(self, example1):
@@ -194,6 +214,11 @@ class TestRate:
         vals = [rate(example1, 0, float(a)) for a in alphas]
         second = np.diff(vals, 2)
         assert second.min() > -1e-8
+
+    @pytest.mark.parametrize("alpha", [float("nan"), inf, -inf])
+    def test_non_finite_alpha_refused(self, example1, alpha):
+        with pytest.raises(ModelValidationError):
+            rate(example1, 0, alpha)
 
 
 class TestEndpoints:
@@ -227,6 +252,41 @@ def random_weighted_chain(seed: int):
     m /= m.sum(axis=0, keepdims=True)
     w = np.where(adj == 1, np.exp(rng.normal(size=(n, n))), 0.0)
     return chain_from_matrices(m, w, d=int(rng.integers(2, 4)))
+
+
+def c_layout_recursion(chain, mu, n, mask):
+    """``_tilted_recursion`` on C-ordered [K, n, n] arrays, with a boolean
+    readout mask built on every step: the reference for the batch-last one."""
+    d = chain.arity
+    size = chain.base.n_symbols
+    log_e = tilted_matrix(chain, mu).reshape((-1, size, size))
+    rows = log_e.shape[0]
+    depth = np.broadcast_to(n, rows)
+    mask = np.broadcast_to(mask, (rows, size))
+    x = np.zeros((rows, size))
+    dx = np.zeros_like(x)
+    x_n, dx_n = x.copy(), dx.copy()
+    for k in range(1, int(depth.max(initial=0)) + 1):
+        x, dx = psi(log_e, d, x, chain.log_w, dx)
+        done = depth == k
+        x_n[done], dx_n[done] = x[done], dx[done]
+    root = np.where(mask, x_n, -np.inf).argmax(axis=1)
+    return x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
+
+
+class TestBatchLastRecursion:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_c_layout(self, seed, rows):
+        chain = random_weighted_chain(seed)
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(-30.0, 30.0, rows)
+        depth = rng.integers(0, 61, rows)
+        mask = rng.random((rows, chain.base.n_symbols)) < 0.5
+        got = _tilted_recursion(chain, mu, depth, mask)
+        want = c_layout_recursion(chain, mu, depth, mask)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 def legendre_find_root(alpha, value_and_slope, lo, hi):
@@ -514,6 +574,15 @@ class TestRateCurve:
         summary = rate_curve(example1, 0, n_points=30).summary()
         assert summary["recursion_passes"] == len(depths) > 0
         assert summary["max_depth"] == max(depths)
+
+    def test_example1_golden(self, example1):
+        # the 200-point CSV bit for bit, and the passes that solved it
+        curve = rate_curve(example1)
+        out = io.StringIO()
+        curve.to_csv(out)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "c6e5c42d9a5d2024ea73e28cb13e9b2fed6e5078071b9b39b95e3215d0e04e1b"
+        assert (curve.recursion_passes, curve.max_depth) == (12, 37)
 
     @pytest.mark.parametrize("bad", [
         {"pressure_tol": float("nan")},

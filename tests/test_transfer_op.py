@@ -18,10 +18,16 @@ from treeshift import (
 from treeshift.alphabet_graph import _recurrent
 from treeshift.dimension import _cyclic_blocks, simplex_to_ratios
 from treeshift.errors import BadExponent, EmptyModel, NoConvergence
-from treeshift.oracle import block_counts
 from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
-from conftest import make_model, periodic_model, periodic_models, random_a0_matrix, ring_model
+from conftest import (
+    block_counts,
+    make_model,
+    periodic_model,
+    periodic_models,
+    random_a0_matrix,
+    ring_model,
+)
 
 NEG_INF = float("-inf")
 
