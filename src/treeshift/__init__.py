@@ -43,24 +43,13 @@ from .stochastic import (
     ExperimentReport,
     SampleConfig,
     lln_experiment,
-    sample_tree,
 )
 from .transfer_op import (
     EigenPair,
-    apply_l,
     entropy_iterate,
     principal_eigenpair,
     psi,
 )
-from .tree_core import (
-    EmpiricalPair,
-    LabeledTree,
-    TreeShape,
-    empirical_pair,
-    lattice_size,
-    sample_mean,
-    tree_metric,
-    validate_admissible,
-)
+from .tree_core import lattice_size
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,18 +38,6 @@ class ClassInconsistency(ModelValidationError):
     """Reachable symbols admit generation paths with conflicting residues mod p."""
 
 
-class InadmissibleTree(TreeShiftError):
-    """A labeled tree has an edge not allowed by the adjacency matrix."""
-
-
-class SupportMismatch(TreeShiftError):
-    """A traversed edge carries zero weight."""
-
-
-class ShapeMismatch(TreeShiftError):
-    """Two trees have incompatible arity or depth."""
-
-
 class BadExponent(TreeShiftError):
     """Exponent vector leaves the admissible set (0, d]^p with unit product."""
 
@@ -73,7 +61,7 @@ class ValidationFailed(TreeShiftError):
 
 
 class TooLarge(TreeShiftError):
-    """Requested enumeration or tree exceeds a resource guard."""
+    """A requested enumeration exceeds a resource guard."""
 
 
 class Overflow(TreeShiftError):

@@ -25,7 +25,9 @@ import numpy as np
 
 from .alphabet_graph import AdjacencyModel
 from .errors import ModelValidationError, TooLarge
-from .rate_function import WeightedChainModel, _extreme_sums, _legendre, _tilted_recursion
+from .rate_function import (
+    WeightedChainModel, _check_finite, _extreme_sums, _legendre, _tilted_recursion,
+)
 from .tree_core import lattice_size
 
 CLASS_GUARD = 10**6
@@ -323,8 +325,10 @@ def finite_rate(chain: WeightedChainModel, class_index: int, n: int, alpha: floa
     1/|Lambda(n)| (the infinite-depth pressure uses the idealized weight
     (d-1)/d^(n+1) instead; both share the same x-iteration).  With the exact
     normalization the Chernoff bound gives weak duality against enumerated
-    type classes with no tolerance at all, only float roundoff.
+    type classes with no tolerance at all, only float roundoff.  A
+    non-finite ``alpha`` raises ModelValidationError, as in ``rate``.
     """
+    _check_finite("alpha", alpha)
     total = float(lattice_size(chain.arity, n))
     mask = chain.base.structure.class_mask(class_index - n)
 

@@ -1,28 +1,25 @@
-"""Reproducible Monte-Carlo over tree-indexed chains.
+"""Reproducible Monte-Carlo over tree-indexed chains, read through types.
 
 Randomness contract: every draw at level k of trial t comes from one
 Philox-4x64 stream keyed by (seed, t << 32 | k), so samples are a pure
 function of (seed, trial, level) and independent of evaluation order; trial
 rows reduce in trial order.  A root drawn from a law takes the first uniform
-of level 0's stream.  Each level's type comes first: with N_b parents labeled
-b, the edge counts out of them are Multinomial(d N_b, M[:, b]), drawn for
-b = 0, 1, ... in order from the level's stream.  ``running_means`` reads only
-the types.  ``sample_tree`` draws the same types and then, for b = 0, 1, ...
-in order, places b's children over the slots under b-labeled parents (BFS
-order) in a uniform random order from the rest of the level's stream, so its
-tree has exactly the type ``running_means`` reads.
+of level 0's stream.  A sample mean depends on a tree only through its
+type, the per-level edge counts: with N_b parents labeled b, the edge
+counts out of them are Multinomial(d N_b, M[:, b]), drawn for b = 0, 1, ...
+in order from the level's stream.
 Generator name recorded in reports: "philox4x64".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import ModelValidationError
 from .rate_function import WeightedChainModel, lln_limit
-from .tree_core import LabeledTree, TreeShape, lattice_size
+from .tree_core import lattice_size
 
 GENERATOR_NAME = "philox4x64"
 # standard errors a phase mean may lie from its limit and pass
@@ -81,14 +78,12 @@ def _root_label(chain: WeightedChainModel, config: SampleConfig, trial: int) -> 
 
 
 def _edge_counts(chain: WeightedChainModel, config: SampleConfig, trial: int):
-    """Per-level type of one sampled tree: yields (N, rng), N[a, b] the edges b -> a into level k.
+    """Per-level type of one sampled tree: yields N, N[a, b] the edges b -> a into level k.
 
     Given the parent counts N_b, the children of the parents labeled b are
     Multinomial(d N_b, M[:, b]), independent across b.  Each draw runs over
     b's supported children only, with the column renormalized, so every
     drawn edge is admissible even where a column sums to slightly below 1.
-    ``rng`` is the level's stream after those draws; it is re-keyed for the
-    next level when the generator resumes.
     """
     d, n = chain.arity, chain.base.n_symbols
     sup = chain.base.adjacency == 1
@@ -102,33 +97,8 @@ def _edge_counts(chain: WeightedChainModel, config: SampleConfig, trial: int):
         edges = np.zeros((n, n), dtype=np.int64)
         for b in np.flatnonzero(counts):
             edges[children[b], b] = rng.multinomial(d * counts[b], law[b])
-        yield edges, rng
+        yield edges
         counts = edges.sum(axis=1)
-
-
-def sample_tree(chain: WeightedChainModel, config: SampleConfig, trial: int = 0) -> LabeledTree:
-    """One labeled tree, BFS order, fully materialized (guarded by the node cap).
-
-    Level k takes the type ``_edge_counts`` draws.  The slots under parents
-    labeled b, grouped in BFS order, receive b's drawn children in an order
-    drawn uniformly from the rest of the level's stream.  A multinomial type
-    in uniform random order has the law of independent draws from M[:, b].
-    """
-    d = chain.arity
-    shape = TreeShape(d, config.depth)
-    labels = np.empty(shape.node_count, dtype=np.int16)
-    labels[0] = _root_label(chain, config, trial)
-    symbols = np.arange(chain.base.n_symbols, dtype=np.int16)
-    fixed = replace(config, root=int(labels[0]))  # the root is drawn once, above
-    for k, (edges, rng) in enumerate(_edge_counts(chain, fixed, trial), start=1):
-        slots = np.argsort(np.repeat(labels[shape.level_slice(k - 1)], d), kind="stable")
-        level = labels[shape.level_slice(k)]
-        start = 0
-        for b in np.flatnonzero(edges.sum(axis=0)):
-            kids = rng.permutation(np.repeat(symbols, edges[:, b]))
-            level[slots[start:start + kids.size]] = kids
-            start += kids.size
-    return LabeledTree(shape, labels)
 
 
 def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -> np.ndarray:
@@ -144,7 +114,7 @@ def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -
         )
     out = np.zeros(config.depth + 1)
     acc = 0.0
-    for k, (edges, _) in enumerate(_edge_counts(chain, config, trial), start=1):
+    for k, edges in enumerate(_edge_counts(chain, config, trial), start=1):
         acc += float((edges * chain.log_w).sum())
         out[k] = acc / lattice_size(d, k)
     return out

@@ -113,17 +113,6 @@ def _check_exponents(r: np.ndarray, d: int) -> np.ndarray:
     return r
 
 
-def apply_l(model: AdjacencyModel, r, log_x: np.ndarray, rotation: int = 0) -> np.ndarray:
-    """Full p-step cycle, starting with exponent r_rotation."""
-    r = _check_exponents(r, model.arity)
-    x = np.asarray(log_x, dtype=float)
-    log_adj = log_weights(model.adjacency)
-    p = len(r)
-    for i in range(p):
-        x = psi(log_adj, float(r[(rotation + i) % p]), x)
-    return x
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Principal eigenvalue and normalized eigenvector on one cone, both as logs.

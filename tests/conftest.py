@@ -14,6 +14,7 @@ from treeshift import (
     reciprocal_on_support,
 )
 from treeshift.errors import TooLarge
+from treeshift.transfer_op import log_weights, psi
 
 NINE_ADJACENCY = [
     [0, 0, 0, 0, 1, 1, 0, 0, 0],
@@ -48,8 +49,22 @@ def block_counts(model, n: int) -> list[int]:
     return counts
 
 
+def full_cycle(model, r, x, rotation=0):
+    """The full-matrix p-step cycle, starting with exponent r_rotation.
+
+    Each step is ``psi`` on the whole log adjacency, so this is the
+    reference for the eigen loop, which steps class block by class block.
+    """
+    log_adj = log_weights(model.adjacency)
+    x = np.asarray(x, dtype=float)
+    p = len(r)
+    for i in range(p):
+        x = psi(log_adj, float(r[(rotation + i) % p]), x)
+    return x
+
+
 # Listing reference: every admissible tree written out, against which the
-# block-count recursion, the type classes and ``empirical_pair`` are checked.
+# block-count recursion is checked.
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import pytest
 from click.testing import CliRunner
 
 from treeshift import (
-    apply_l,
     chain_from_matrices,
     find_a0_and_period,
     hausdorff_dimension,
@@ -44,6 +43,7 @@ from conftest import (
     block_counts,
     class_prob,
     enumerate_blocks,
+    full_cycle,
     make_model,
     random_a0_matrix,
 )
@@ -301,12 +301,12 @@ class TestCriterion9:
                 r = [r0, 1 / r0]
                 x = rng.normal(size=3)
                 c = rng.uniform(-2, 2)
-                base = apply_l(period2, r, x)
+                base = full_cycle(period2, r, x)
                 worst_h = max(
-                    worst_h, float(np.abs(apply_l(period2, r, x + c) - base - c).max())
+                    worst_h, float(np.abs(full_cycle(period2, r, x + c) - base - c).max())
                 )
                 y = x + rng.uniform(0, 1, size=3)
-                assert np.all(apply_l(period2, r, y) >= base - 1e-10)
+                assert np.all(full_cycle(period2, r, y) >= base - 1e-10)
             assert worst_h < 1e-10
 
             # pressure convexity in mu

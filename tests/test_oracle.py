@@ -22,7 +22,7 @@ from treeshift import (
     rate,
 )
 from treeshift import oracle
-from treeshift.errors import TooLarge
+from treeshift.errors import ModelValidationError, TooLarge
 from treeshift.oracle import (
     MeanAtom,
     MeanDistribution,
@@ -455,6 +455,12 @@ class TestFiniteRate:
 
     def test_unreachable_alpha_is_minus_infinity(self, example1):
         assert finite_rate(example1, 0, 3, 5.0) == -inf
+
+    @pytest.mark.parametrize("alpha", [float("nan"), inf, -inf])
+    def test_non_finite_alpha_refused(self, example1, alpha):
+        # a non-finite alpha is refused, as by rate, not read out as -inf
+        with pytest.raises(ModelValidationError, match="alpha must be finite"):
+            finite_rate(example1, 0, 3, alpha)
 
 
 class TestDualityScript:

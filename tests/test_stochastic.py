@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from treeshift import (
-    SampleConfig,
-    chain_from_matrices,
-    empirical_pair,
-    lln_experiment,
-    sample_tree,
-    validate_admissible,
-)
-from treeshift.errors import ModelValidationError, TooLarge
+from treeshift import SampleConfig, chain_from_matrices, lln_experiment
+from treeshift.errors import ModelValidationError
 from treeshift.oracle import exact_mean_distribution
 from treeshift.stochastic import _edge_counts, _level_stream, running_means
 
@@ -27,42 +20,15 @@ def flat_chain():
 
 
 class TestSampleTree:
-    def test_deterministic_column_forces_label(self, example1):
-        # parent symbol 1 sends every child to symbol 0
-        tree = sample_tree(example1, SampleConfig(depth=8, seed=5))
-        shape = tree.shape
-        for i in range(1, shape.node_count):
-            if tree.labels[shape.parent(i)] == 1:
-                assert tree.labels[i] == 0
+    """One sampled tree, read through its type, the per-level edge counts."""
 
     def test_reproducible_across_runs(self, example1):
         cfg = SampleConfig(depth=9, seed=123)
-        a = sample_tree(example1, cfg, trial=7)
-        b = sample_tree(example1, cfg, trial=7)
-        assert np.array_equal(a.labels, b.labels)
-        c = sample_tree(example1, cfg, trial=8)
-        assert not np.array_equal(a.labels, c.labels)
-
-    def test_sampled_trees_admissible(self, example1, example2):
-        for chain in (example1, example2):
-            for trial in range(5):
-                tree = sample_tree(chain, SampleConfig(depth=7, seed=3), trial)
-                validate_admissible(tree, chain.base)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([2, 3]))
-    @settings(max_examples=40, deadline=None)
-    def test_random_sparse_chains_sample_admissible_trees(self, seed, n, d):
-        # sparse irreducible support: a Hamiltonian cycle plus a few edges
-        rng = np.random.default_rng(seed)
-        adj = (rng.random((n, n)) < 0.25).astype(int)
-        cycle = rng.permutation(n)
-        adj[np.roll(cycle, -1), cycle] = 1
-        m = np.where(adj == 1, rng.random((n, n)) + 0.01, 0.0)
-        chain = chain_from_matrices(m / m.sum(axis=0, keepdims=True), d=d)
-        for sample_seed in range(3):
-            for depth in (1, 3, 5):
-                cfg = SampleConfig(depth=depth, seed=sample_seed, root=int(rng.integers(n)))
-                validate_admissible(sample_tree(chain, cfg, trial=sample_seed), chain.base)
+        a = running_means(example1, cfg, trial=7)
+        b = running_means(example1, cfg, trial=7)
+        assert np.array_equal(a, b)
+        c = running_means(example1, cfg, trial=8)
+        assert not np.array_equal(a, c)
 
     def test_overflow_draw_stays_admissible(self):
         # column 0 sums to 1 - 4e-13 (inside the stochastic tolerance) and
@@ -71,66 +37,53 @@ class TestSampleTree:
         chain = chain_from_matrices(m, d=2)
         assert chain.base.adjacency[2, 0] == 0
         for trial in range(20):
-            tree = sample_tree(chain, SampleConfig(depth=8, seed=1), trial)
-            validate_admissible(tree, chain.base)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([2, 3]))
-    @settings(max_examples=40, deadline=None)
-    def test_tree_has_the_drawn_types(self, seed, n, d):
-        # the tree's per-level edge counts are the types _edge_counts draws
-        chain = _sparse_chain(seed, n, d)
-        root = int(np.random.default_rng(seed).integers(n))
-        cfg = SampleConfig(depth=6, seed=seed, root=root)
-        tree = sample_tree(chain, cfg, trial=seed % 5)
-        for k, (edges, _) in enumerate(_edge_counts(chain, cfg, trial=seed % 5), start=1):
-            child = tree.level_labels(k).astype(np.int64)
-            parent = np.repeat(tree.level_labels(k - 1), d).astype(np.int64)
-            got = np.bincount(child * n + parent, minlength=n * n).reshape(n, n)
-            assert np.array_equal(got, edges)
+            for edges in _edge_counts(chain, SampleConfig(depth=8, seed=1), trial):
+                assert np.all(edges[chain.base.adjacency == 0] == 0)
 
     def test_root_distribution(self, example1):
-        pi = np.array([0.25, 0.75])
+        # the root's d children are the first level's edges out of it
+        cfg = SampleConfig(depth=1, seed=9, root=np.array([0.25, 0.75]))
         roots = [
-            sample_tree(example1, SampleConfig(depth=1, seed=9, root=pi), t).labels[0]
-            for t in range(400)
+            int(np.argmax(next(_edge_counts(example1, cfg, t)).sum(axis=0))) for t in range(400)
         ]
         frac = np.mean(np.array(roots) == 1)
         assert abs(frac - 0.75) < 3 * sqrt(0.25 * 0.75 / 400)
 
-    def test_node_cap(self, example1):
-        with pytest.raises(TooLarge):
-            sample_tree(example1, SampleConfig(depth=26, seed=0))
-
     def test_level_frequencies_approach_stationary(self, example1):
-        # stationary law of M is (2/3, 1/3)
-        tree = sample_tree(example1, SampleConfig(depth=14, seed=77))
-        level = tree.level_labels(14)
-        frac = np.mean(level == 0)
-        se = sqrt((2 / 3) * (1 / 3) / level.size)
+        # stationary law of M is (2/3, 1/3); level 14's labels are its edges' children
+        *_, edges = _edge_counts(example1, SampleConfig(depth=14, seed=77), trial=0)
+        level = edges.sum(axis=1)
+        frac = level[0] / level.sum()
+        se = sqrt((2 / 3) * (1 / 3) / level.sum())
         # tree-correlated samples: allow a generous factor over iid error
         assert abs(frac - 2 / 3) < 30 * se
 
     def test_empirical_transitions_approach_m(self, example1):
-        tree = sample_tree(example1, SampleConfig(depth=12, seed=31))
-        pair = empirical_pair(tree, example1.base)
-        eta = pair.trans[11]
-        counts = np.bincount(tree.level_labels(11), minlength=2)
+        *_, edges = _edge_counts(example1, SampleConfig(depth=12, seed=31), trial=0)
+        counts = edges.sum(axis=0) // 2  # parents at level 11
         for b in range(2):
             if counts[b] == 0:
                 continue
             se = sqrt(0.25 / (2 * counts[b]))
-            assert np.abs(eta[:, b] - example1.M[:, b]).max() <= 3 * max(se, 1e-3)
+            eta = edges[:, b] / (2 * counts[b])
+            assert np.abs(eta - example1.M[:, b]).max() <= 3 * max(se, 1e-3)
 
     def test_empirical_transitions_decline_with_depth(self, example1):
         # distribution-free smoke: over ten trees, the mean deviation from M
         # shrinks down the tree
         early, late = [], []
         for trial in range(10):
-            tree = sample_tree(example1, SampleConfig(depth=14, seed=19), trial)
-            pair = empirical_pair(tree, example1.base)
-            early.append(np.abs(pair.trans[3] - example1.M).max())
-            late.append(np.abs(pair.trans[13] - example1.M).max())
+            levels = list(_edge_counts(example1, SampleConfig(depth=14, seed=19), trial))
+            early.append(np.abs(_transitions(levels[3], example1.M) - example1.M).max())
+            late.append(np.abs(_transitions(levels[13], example1.M) - example1.M).max())
         assert np.mean(late) < np.mean(early)
+
+
+def _transitions(edges, m):
+    """A level's edge counts over their parent column's total; a parent
+    symbol absent from the level has no transitions and reads as M."""
+    total = edges.sum(axis=0)
+    return np.where(total > 0, edges / np.maximum(total, 1), m)
 
 
 class TestLevelStream:
@@ -239,7 +192,7 @@ class TestTypeSampler:
         root = int(np.random.default_rng(seed).integers(n))
         cfg = SampleConfig(depth=8, seed=seed, root=root)
         parents = np.eye(n, dtype=np.int64)[root]
-        for k, (edges, _) in enumerate(_edge_counts(chain, cfg, trial=seed % 5), start=1):
+        for k, edges in enumerate(_edge_counts(chain, cfg, trial=seed % 5), start=1):
             assert edges.dtype == np.int64 and edges.min() >= 0
             assert np.all(edges[chain.base.adjacency == 0] == 0)
             assert edges.sum() == d**k
@@ -256,7 +209,7 @@ class TestTypeSampler:
         assert time.perf_counter() - started < 1.0
         assert np.all(np.isfinite(means))
         assert means[-1] == pytest.approx(log(2) / 3, abs=1e-6)
-        assert list(_edge_counts(chain, cfg, trial=0))[-1][0].sum() == d**deepest
+        assert list(_edge_counts(chain, cfg, trial=0))[-1].sum() == d**deepest
         with pytest.raises(ModelValidationError):
             running_means(chain, SampleConfig(depth=deepest + 1), trial=0)
 

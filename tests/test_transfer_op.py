@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
-    apply_l,
     entropy_iterate,
     find_a0_and_period,
     lattice_size,
@@ -22,6 +21,7 @@ from treeshift.transfer_op import EIGEN_TOL, _eigen_rows, log_weights
 
 from conftest import (
     block_counts,
+    full_cycle,
     make_model,
     periodic_model,
     periodic_models,
@@ -117,26 +117,27 @@ class TestApplyCycle:
     def test_swap_cycle_is_identity(self, swap2):
         for r0 in (0.6, 1.0, 1.7):
             x = log_vec(0.4, NEG_INF)
-            got = apply_l(swap2, [r0, 1 / r0], x)
+            got = full_cycle(swap2, [r0, 1 / r0], x)
             assert got[0] == pytest.approx(0.4, abs=1e-12)
             assert np.isneginf(got[1])
 
     def test_full_shift_row_sums(self, full2):
-        got = apply_l(full2, [1.0], log_vec(0.0, 0.0))
+        got = full_cycle(full2, [1.0], log_vec(0.0, 0.0))
         assert got == pytest.approx([log(2), log(2)], abs=1e-15)
 
     def test_period2_closed_form(self, period2):
         # cycle applied to the indicator of class 0 scales it by 2^(1/r0)
         x = log_vec(0.0, NEG_INF, NEG_INF)
-        got = apply_l(period2, [2.0, 0.5], x)
+        got = full_cycle(period2, [2.0, 0.5], x)
         assert got[0] == pytest.approx(0.5 * log(2), abs=1e-14)
         assert np.isneginf(got[1]) and np.isneginf(got[2])
 
     def test_bad_exponents(self, swap2):
+        period = find_a0_and_period(swap2)
         with pytest.raises(BadExponent):
-            apply_l(swap2, [2.0, 2.0], log_vec(0, 0))
+            principal_eigenpair(swap2, period, [2.0, 2.0])
         with pytest.raises(BadExponent):
-            apply_l(swap2, [4.0, 0.25], log_vec(0, 0))
+            principal_eigenpair(swap2, period, [4.0, 0.25])
 
     @given(
         st.integers(0, 2**36 - 1),
@@ -151,8 +152,8 @@ class TestApplyCycle:
             return
         r = _random_ratios(rng, p, model.arity)
         x = rng.normal(size=4)
-        base = apply_l(model, r, x)
-        shifted = apply_l(model, r, x + shift)
+        base = full_cycle(model, r, x)
+        shifted = full_cycle(model, r, x + shift)
         assert shifted == pytest.approx((base + shift).tolist(), abs=1e-10)
 
     @given(st.integers(0, 2**36 - 1))
@@ -166,8 +167,8 @@ class TestApplyCycle:
         r = _random_ratios(rng, p, model.arity)
         x = rng.normal(size=4)
         y = x + rng.uniform(0, 1, size=4)
-        fx = apply_l(model, r, x)
-        fy = apply_l(model, r, y)
+        fx = full_cycle(model, r, x)
+        fy = full_cycle(model, r, y)
         assert np.all(fx <= fy + 1e-10)
 
 
@@ -216,7 +217,7 @@ class TestEigenpair:
         for j in range(3):
             pair = principal_eigenpair(nine, period, r, class_index=j, tol=1e-11)
             rotation = (3 - j) % 3
-            y = apply_l(nine, r, pair.eigvec, rotation)
+            y = full_cycle(nine, r, pair.eigvec, rotation)
             sup = np.isfinite(pair.eigvec)
             resid = np.abs(y[sup] - pair.log_rho - pair.eigvec[sup]).max()
             assert resid < 10 * 1e-11
@@ -267,7 +268,7 @@ def shifted_power_bracket(model, period, r, class_index, tol=EIGEN_TOL, max_iter
     rotation = (p - class_index) % p
     x = np.where(period.class_mask(class_index), 0.0, -np.inf)
     for _ in range(max_iter):
-        lx = apply_l(model, r, x, rotation)
+        lx = full_cycle(model, r, x, rotation)
         support = np.isfinite(x)
         if not np.isfinite(lx).any():
             return -np.inf, -np.inf
