@@ -314,6 +314,7 @@ def simulate(data, _model, reduced, seed, trials, depth, root, csv_path):
         "generator": report.generator,
         "seed": report.seed,
         "passed": report.passed,
+        "passed_expected": report.passed_expected,
         "phase_checks": [asdict(c) for c in report.phase_checks],
     }
     return payload, {"seed": seed, "trials": trials, "depth": depth, "root": root_sym}

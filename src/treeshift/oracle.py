@@ -26,7 +26,7 @@ import numpy as np
 from .alphabet_graph import AdjacencyModel
 from .errors import ModelValidationError, TooLarge
 from .rate_function import (
-    WeightedChainModel, _check_finite, _extreme_sums, _legendre, _tilted_recursion,
+    WeightedChainModel, _check_class, _check_finite, _extreme_sums, _legendre, _tilted_recursion,
 )
 from .tree_core import lattice_size
 
@@ -326,16 +326,22 @@ def finite_rate(chain: WeightedChainModel, class_index: int, n: int, alpha: floa
     (d-1)/d^(n+1) instead; both share the same x-iteration).  With the exact
     normalization the Chernoff bound gives weak duality against enumerated
     type classes with no tolerance at all, only float roundoff.  A
-    non-finite ``alpha`` raises ModelValidationError, as in ``rate``.
+    non-finite ``alpha`` or a class index outside [0, p) raises
+    ModelValidationError, as in ``rate``.
     """
     _check_finite("alpha", alpha)
+    _check_class(chain, class_index)
     total = float(lattice_size(chain.arity, n))
     mask = chain.base.structure.class_mask(class_index - n)
 
-    def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        top, slope = _tilted_recursion(chain, mu, n, mask)
+    def value_and_slope(mu: np.ndarray, stop=None) -> tuple[np.ndarray, np.ndarray]:
+        top, slope = _tilted_recursion(
+            chain, mu, n, mask, stop and (lambda read, slope: stop(read, slope / total))
+        )
         return top / total, slope / total
 
     lo, hi = _extreme_sums(chain, n, mask)
-    value, _ = _legendre(np.array([alpha], dtype=float), value_and_slope, lo / total, hi / total)
+    value, _ = _legendre(
+        np.array([alpha], dtype=float), value_and_slope, lo / total, hi / total, early_exit=True
+    )
     return -float(value[0])

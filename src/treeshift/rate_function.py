@@ -157,7 +157,7 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
 
 
-def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
+def _tilted_recursion(chain: WeightedChainModel, mu, n, mask, stop=None):
     """max of x_n over the roots in ``mask``, and its derivative along log W.
 
         x_{k+1}[b]  = d lse_a(log E[a,b] + x_k[a])
@@ -172,6 +172,11 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     stores the batch axis last: numpy's ufuncs follow their inputs' memory
     order, so each add, exp and reduction in ``psi`` runs over contiguous
     K-long rows instead of n-long ones, with the same arithmetic per entry.
+
+    ``stop(read, slope)``, if given, is called after each depth that reads
+    rows out, with the boolean mask of the rows read so far and the slopes
+    (nan where unread); once it returns True the recursion ends there.  A
+    row that is never read, including one of negative depth, reads nan.
     """
     d = chain.arity
     size = chain.base.n_symbols
@@ -180,16 +185,25 @@ def _tilted_recursion(chain: WeightedChainModel, mu, n, mask):
     log_w = _batch_last(np.broadcast_to(chain.log_w, log_e.shape))
     depth = np.broadcast_to(n, rows)
     mask = np.broadcast_to(mask, (rows, size))
-    # a depth-0 row reads x_0 = 0
-    x, dx, x_n, dx_n = np.zeros((4, size, rows)).transpose(0, 2, 1)
-    ends = {k: np.flatnonzero(depth == k) for k in set(depth.tolist())}
-    for k in range(1, max(ends, default=0) + 1):
-        x, dx = psi(log_e, d, x, log_w, dx)
-        if k in ends:
-            done = ends[k]
-            x_n[done], dx_n[done] = x[done], dx[done]
-    root = np.where(mask, x_n, -np.inf).argmax(axis=1)
-    return x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
+    # a depth-0 row reads x_0 = 0, a row never read reads nan
+    x, dx = np.zeros((2, size, rows)).transpose(0, 2, 1)
+    x_n, dx_n = np.full((2, size, rows), nan).transpose(0, 2, 1)
+    read = np.zeros(rows, dtype=bool)
+
+    def readout():
+        root = np.where(mask, x_n, -np.inf).argmax(axis=1)
+        return x_n[np.arange(rows), root], dx_n[np.arange(rows), root]
+
+    step = 0
+    for end in sorted(k for k in set(depth.tolist()) if k >= 0):
+        for step in range(step + 1, end + 1):
+            x, dx = psi(log_e, d, x, log_w, dx)
+        done = np.flatnonzero(depth == end)
+        x_n[done], dx_n[done] = x[done], dx[done]
+        read[done] = True
+        if stop is not None and stop(read, readout()[1]):
+            break
+    return readout()
 
 
 def _extreme_sums(chain: WeightedChainModel, n: int, mask: np.ndarray) -> tuple[float, float]:
@@ -265,24 +279,64 @@ def _chandrupatla(evaluate, target: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             e1, e2, e3 = new, np.where(same, e2, e1), np.where(same, e1, e2)
 
 
+def _ladder_brackets(target: np.ndarray, value_and_slope, early_exit: bool):
+    """Brackets of the roots of V'(mu) = target from one pass over the doubling ladder.
+
+    The ladder is mu = +-2^j, j = 0..MAX_DOUBLINGS.  A row with
+    V'(-1) > target takes [-2^j, -2^(j-1)] at the first j >= 1 with
+    V'(-2^j) <= target, a row with V'(1) < target mirrors it, and every
+    other row keeps [-1, 1]; a row that no rung stops takes the cap rung
+    2^MAX_DOUBLINGS.  These are the brackets at which doubling from +-1
+    stops.  The depth grows with |mu|, so the pass reads the rungs outward
+    and, with ``early_exit``, ends once the rungs read fix every bracket.
+    Returns [3, K] stacks (mu, V, V') at the left and right bracket ends.
+    """
+    rungs = MAX_DOUBLINGS + 1
+    ladder = 2.0 ** np.arange(rungs)
+    ends = np.concatenate([-ladder, ladder])  # -1, -2, ..., -cap, 1, 2, ..., cap
+
+    def stopping_rungs(slope: np.ndarray):
+        # each row's side and stopping rung j on it; an unread rung's nan stops nothing
+        left = slope[0] > target
+        right = (slope[rungs] < target) & ~left
+        hits = (slope[1:rungs, None] <= target, slope[rungs + 1:, None] >= target)
+        found = [hit.any(axis=0) for hit in hits]
+        j = [np.where(f, hit.argmax(axis=0) + 1, MAX_DOUBLINGS) for f, hit in zip(found, hits)]
+        return left, right, found, j
+
+    def fixed(_read: np.ndarray, slope: np.ndarray) -> bool:
+        # +-1 are read first; once the cap is read the pass ends by itself
+        left, right, found, _ = stopping_rungs(slope)
+        return bool((found[0] | ~left).all() and (found[1] | ~right).all())
+
+    value, slope = value_and_slope(ends, fixed) if early_exit else value_and_slope(ends)
+    stack = np.vstack([ends, value, slope])
+    left, right, _, (jl, jr) = stopping_rungs(slope)
+    a = np.where(left, stack[:, jl], np.where(right, stack[:, rungs + jr - 1], stack[:, [0]]))
+    b = np.where(left, stack[:, jl - 1], np.where(right, stack[:, rungs + jr], stack[:, [rungs]]))
+    return a, b
+
+
 def _legendre(
-    alpha, value_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    lo: float, hi: float,
+    alpha, value_and_slope: Callable[..., tuple[np.ndarray, np.ndarray]],
+    lo: float, hi: float, early_exit: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sup_mu (mu alpha - V(mu)) over a batch of alphas, V convex with slopes spanning [lo, hi].
 
-    ``value_and_slope`` maps an array of mu to the arrays V(mu) and V'(mu),
-    row by row; each call sees every distinct mu once.  Returns the arrays
-    (value, maximizing mu): (+inf, nan) outside the domain widened by
+    ``value_and_slope(mu)`` maps an array of mu to the arrays V(mu) and
+    V'(mu), row by row, in one pass.  With ``early_exit`` it also takes a
+    second argument, ``_tilted_recursion``'s ``stop``, and the rows a
+    stopped pass never reads come back nan.  Returns the arrays (value,
+    maximizing mu): (+inf, nan) outside the domain widened by
     BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha.
-    Each root is bracketed by doubling from +-1 up to 2^MAX_DOUBLINGS, one
-    call per round for the rows still expanding; then ``_chandrupatla``
-    solves every bracket at once.  At an edge of the domain the root lies at
-    infinity, and the cap stands in for it.  Every point is evaluated once:
+    One pass over the doubling ladder brackets every root
+    (``_ladder_brackets``); then ``_chandrupatla`` solves every bracket at
+    once.  At an edge of the domain the root lies at infinity, and the cap
+    rung 2^MAX_DOUBLINGS stands in for it.  Every point is evaluated once:
     the brackets carry (mu, V, V') at their ends.
     """
     def evaluate(mu: np.ndarray) -> np.ndarray:
-        # rows that share a mu (every bracket starts at +-1 and doubles) share one row
+        # rows that share a mu share one row
         distinct, inverse = np.unique(mu, return_inverse=True)
         value, slope = value_and_slope(distinct)
         return np.vstack([mu, value[inverse], slope[inverse]])
@@ -294,19 +348,8 @@ def _legendre(
     if not inside.any():
         return value, argmax
     target = alpha[inside]
-    cap = 2.0**MAX_DOUBLINGS
     # [3, K] stacks (mu, V, V') at the bracket ends
-    a, b = np.split(evaluate(np.concatenate([-np.ones(target.size), np.ones(target.size)])), 2, axis=1)
-    while True:
-        left = (a[2] > target) & (a[0] > -cap)
-        right = (b[2] < target) & (b[0] < cap) & ~left
-        if not (left.any() or right.any()):
-            break
-        b[:, left] = a[:, left]
-        a[:, right] = b[:, right]
-        ends = evaluate(np.concatenate([2.0 * b[0, left], 2.0 * a[0, right]]))
-        split = np.count_nonzero(left)
-        a[:, left], b[:, right] = ends[:, :split], ends[:, split:]
+    a, b = _ladder_brackets(target, value_and_slope, early_exit)
     # a root at the bracket's end, or beyond the cap
     xl = np.where(a[2] >= target, a, b)
     xr, mu = xl.copy(), xl[0].copy()
@@ -349,34 +392,90 @@ def _check_finite(name: str, value: float) -> None:
         raise ModelValidationError(f"{name} must be finite, got {value!r}")
 
 
-def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, tol: float):
+def _check_class(chain: WeightedChainModel, class_index: int) -> None:
+    p = chain.base.structure.period
+    if not 0 <= class_index < p:
+        raise ModelValidationError(f"class index must lie in [0, {p}), got {class_index}")
+
+
+def _certified_depths(scale: np.ndarray, d: int, tol: float):
+    """``_certified_depth`` over an array of scales, with each row's readout
+    weight (d-1)/d^(n+1) and error factor d^-n.
+
+    q = log(scale / tol) / log(d) is computed in numpy, whose log may differ
+    from Python's by a few ulp; that moves floor(q) only where q lies within
+    1e-9 of an integer, and those rows take the scalar function.  The
+    factors are Python float powers, read from a table over the depths
+    present.  A row whose depth or weight leaves the float range gets depth
+    -1 and nan factors.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.maximum(np.log(scale / tol) / log(d), 0.0)  # n = 1 below tol
+        deep = q == inf  # scale / tol is past the float range: the scalar's floor overflows
+        q[deep] = 0.5
+        n = q.astype(int) + 1
+        near = np.flatnonzero(np.abs(q - np.rint(q)) < 1e-9)
+        n[near] = [_certified_depth(s, d, tol) for s in scale[near].tolist()]
+        lo = int(n.min(initial=1))
+        weights, errors = [], []
+        for k in range(lo, int(n.max(initial=1)) + 2):
+            try:
+                weights.append((d - 1.0) / d ** (k + 1.0))
+            except OverflowError:
+                weights.append(nan)
+            errors.append(d ** -k)
+        # log rounding at an exact power of d; a no-op on the scalar's depths
+        n += scale * np.take(errors, n - lo) >= tol
+    weight, error = np.take(weights, n - lo), np.take(errors, n - lo)
+    deep |= np.isnan(weight)
+    if deep.any():
+        n, weight, error = np.where(deep, -1, n), np.where(deep, nan, weight), np.where(deep, nan, error)
+    return n, weight, error
+
+
+def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, tol: float,
+                   stop=None):
     """``pressure`` over a batch of tilts mu[K] in one recursion.
 
     Returns the arrays (value, slope, depth, error bound); each row keeps its
-    own certified depth and class mask.  Raises ``Overflow`` when a depth or
-    a readout leaves the float range.
+    own certified depth and class mask.  ``stop(read, slope)`` is
+    ``_tilted_recursion``'s early exit, called with the pressure slopes; a
+    row it leaves unread reads nan, with depth 0.  Raises ``Overflow`` when
+    a row that is read leaves the float range, or when one whose depth
+    overflows would have to be.
     """
     d = chain.arity
     period = chain.base.structure
     scale = _recursion_constant(chain) * (np.abs(mu) + 2.0)
-    try:
-        depths = [_certified_depth(s, d, tol) for s in scale.tolist()]
-        # Python's float powers: numpy's can differ from them in the last bit
-        factors = {k: ((d - 1.0) / d ** (k + 1.0), d ** -k) for k in set(depths)}
-    except OverflowError:
+    n, weight, error = _certified_depths(scale, d, tol)
+    deep = n < 0
+    if deep.any() and stop is None:
         raise Overflow(
             f"the certified depth overflows at |mu| = {float(np.abs(mu).max())!r}, tol = {tol!r}"
-        ) from None
-    n = np.array(depths, dtype=int)
+        )
+    read, stopped = ~deep, False
+
+    def readout(rows: np.ndarray, slope: np.ndarray) -> bool:
+        nonlocal read, stopped
+        read, stopped = rows, stop(rows, weight * slope)
+        return stopped
+
     masks = np.array([period.class_mask(j) for j in range(period.period)])
     # an overflow inside the recursion shows in its readout, refused below
     with np.errstate(over="ignore"):
-        top, slope = _tilted_recursion(chain, mu, n, masks[(class_index - n) % period.period])
-    weight = np.array([factors[k][0] for k in depths])
+        top, slope = _tilted_recursion(
+            chain, mu, n, masks[(class_index - n) % period.period], stop and readout
+        )
+    if deep.any() and not stopped:
+        raise Overflow(
+            f"the certified depth overflows at |mu| = {float(np.abs(mu[deep]).min())!r}, tol = {tol!r}"
+        )
     value, slope = weight * top, weight * slope
-    if not (np.isfinite(value).all() and np.isfinite(slope).all()):
-        raise Overflow(f"the pressure readout is not finite at |mu| = {float(np.abs(mu).max())!r}")
-    return value, slope, n, scale * np.array([factors[k][1] for k in depths])
+    if not (np.isfinite(value[read]).all() and np.isfinite(slope[read]).all()):
+        raise Overflow(
+            f"the pressure readout is not finite at |mu| = {float(np.abs(mu[read]).max())!r}"
+        )
+    return value, slope, np.where(read, n, 0), scale * error
 
 
 def pressure(
@@ -396,6 +495,7 @@ def pressure(
     """
     _check_tol(tol)
     _check_finite("mu", mu)
+    _check_class(chain, class_index)
     value, slope, depth, bound = _pressure_rows(
         chain, np.asarray(mu, dtype=float)[None], class_index, tol
     )
@@ -404,17 +504,21 @@ def pressure(
 
 def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
                endpoints: tuple[float, float], tol: float):
-    """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth."""
+    """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth.
+
+    A pass counts once and its depth is the deepest row it read: the ladder
+    pass of ``_legendre`` stops at the depth of the last rung it needs.
+    """
     passes, max_depth = 0, 0
 
-    def value_and_slope(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(mu: np.ndarray, stop=None) -> tuple[np.ndarray, np.ndarray]:
         nonlocal passes, max_depth
-        value, slope, depth, _ = _pressure_rows(chain, mu, class_index, tol)
+        value, slope, depth, _ = _pressure_rows(chain, mu, class_index, tol, stop)
         passes += 1
         max_depth = max(max_depth, int(depth.max(initial=0)))
         return value, slope
 
-    values, argmax = _legendre(alphas, value_and_slope, *endpoints)
+    values, argmax = _legendre(alphas, value_and_slope, *endpoints, early_exit=True)
     return values, argmax, passes, max_depth
 
 
@@ -427,6 +531,7 @@ def rate(
     """Legendre-type dual sup_mu (mu alpha - pressure(mu)); +inf outside the domain."""
     _check_tol(pressure_tol)
     _check_finite("alpha", alpha)
+    _check_class(chain, class_index)
     endpoints = domain_endpoints(chain, class_index)
     values = _dual_rows(
         chain, class_index, np.array([alpha], dtype=float), endpoints, pressure_tol
@@ -442,6 +547,7 @@ def domain_endpoints(chain: WeightedChainModel, class_index: int) -> tuple[float
     min-plus twin.  n is the first depth where max|log W| d^(-n) drops below
     PRESSURE_TOL, the a-priori bound on the readout's error.
     """
+    _check_class(chain, class_index)
     d = chain.arity
     n = _certified_depth(chain.log_w_max, d, PRESSURE_TOL)
     mask = chain.base.structure.class_mask(class_index - n)
@@ -484,6 +590,7 @@ def lln_limit(chain: WeightedChainModel, class_index: int = 0) -> float:
     closed-form period-2 model: phase j=0 must average an edge layer whose
     parents sit in class A_1.)
     """
+    _check_class(chain, class_index)
     p = chain.base.structure.period
     d = chain.arity
     pi0 = stationary_class_vector(chain)
@@ -562,14 +669,13 @@ def rate_curve(
     """Evaluate the rate over a uniform grid clipped around its finite domain.
 
     Every grid point is solved in the same batched dual: one tilted recursion
-    per bracket round and per root-solver step, over all points at once.
+    over the doubling ladder brackets every root, then one per root-solver
+    step, over all points at once.
     """
     if n_points < 0:
         raise ModelValidationError(f"need n_points >= 0, got {n_points}")
     _check_tol(pressure_tol)
-    p = chain.base.structure.period
-    if not 0 <= class_index < p:
-        raise ModelValidationError(f"class index must lie in [0, {p}), got {class_index}")
+    _check_class(chain, class_index)
     a1, a2 = domain_endpoints(chain, class_index)
     margin = max(GRID_MARGIN * (a2 - a1), GRID_MIN_MARGIN)
     alphas = np.linspace(a1 - margin, a2 + margin, n_points)

@@ -22,7 +22,7 @@ from .rate_function import WeightedChainModel, lln_limit
 from .tree_core import lattice_size
 
 GENERATOR_NAME = "philox4x64"
-# standard errors a phase mean may lie from its limit and pass
+# standard errors a phase mean may lie from its limit, or its expectation, and pass
 PASS_SIGMA = 3.0
 
 
@@ -120,8 +120,37 @@ def running_means(chain: WeightedChainModel, config: SampleConfig, trial: int) -
     return out
 
 
+def expected_means(chain: WeightedChainModel, config: SampleConfig) -> np.ndarray:
+    """Exact expected sample means by depth m = 0..depth, as ``running_means`` sums them.
+
+    Level k holds d^k edges whose parents follow M^(k-1) applied to the root
+    law, so its expected log-W sum is d^k (sum_a M[a, :] log W[a, :]) @ that law.
+    """
+    d, n = chain.arity, chain.base.n_symbols
+    if isinstance(config.root, (int, np.integer)):
+        law = np.eye(n)[config.root]
+    else:
+        law = np.asarray(config.root, dtype=float)
+    edge = (chain.M * chain.log_w).sum(axis=0)
+    out = np.zeros(config.depth + 1)
+    acc = 0.0
+    for k in range(1, config.depth + 1):
+        acc += float(d) ** k * float(edge @ law)
+        out[k] = acc / lattice_size(d, k)
+        law = chain.M @ law
+    return out
+
+
 @dataclass(frozen=True)
 class PhaseCheck:
+    """One phase's sampled mean against its almost-sure limit ``target`` and
+    against ``expected``, its exact expectation at the sampled depth.
+
+    ``bias`` = expected - target is the finite-depth truncation that
+    separates the two; ``passed`` tests the limit, ``passed_expected`` the
+    expectation, each within PASS_SIGMA standard errors.
+    """
+
     phase: int
     depth: int
     target: float
@@ -129,6 +158,10 @@ class PhaseCheck:
     stderr: float
     z_score: float
     passed: bool
+    expected: float
+    bias: float
+    z_expected: float
+    passed_expected: bool
 
 
 @dataclass(frozen=True)
@@ -139,16 +172,21 @@ class ExperimentReport:
     stderr: float
     phase_checks: tuple[PhaseCheck, ...]
     passed: bool
+    passed_expected: bool
     generator: str
     seed: int
 
 
 def lln_experiment(chain: WeightedChainModel, config: SampleConfig) -> ExperimentReport:
-    """Compare sampled running means against the almost-sure phase limits.
+    """Compare sampled running means against the almost-sure phase limits
+    and against their exact expectations at the sampled depths.
 
     Means at depths congruent to j mod p are tested against the phase-j
-    limit; aperiodic chains get a single check at the full depth.  A
-    standard error needs at least two trials.
+    limit and the expectation at that depth; aperiodic chains get a single
+    check at the full depth.  A standard error needs at least two trials.
+    At a finite depth the expectation differs from the limit by a bias that
+    can exceed several standard errors, so the verdict on the expectation
+    is the one a correct sampler passes.
     """
     p = chain.base.structure.period
     if config.trials < 2:
@@ -162,6 +200,7 @@ def lln_experiment(chain: WeightedChainModel, config: SampleConfig) -> Experimen
     emp = float(trial_means.mean())
     se = float(trial_means.std(ddof=1) / sqrt(config.trials))
 
+    expected = expected_means(chain, config)
     checks = []
     for j in range(p):
         depth = config.depth - (config.depth - j) % p  # the deepest level of phase j
@@ -169,17 +208,22 @@ def lln_experiment(chain: WeightedChainModel, config: SampleConfig) -> Experimen
         col = depth_means[:, depth]
         c_emp = float(col.mean())
         c_se = float(col.std(ddof=1) / sqrt(config.trials))
+        mean = float(expected[depth])
         if c_se > 0:
-            z = (c_emp - target) / c_se
+            z, z_mean = (c_emp - target) / c_se, (c_emp - mean) / c_se
         else:
             # degenerate sampling distribution: only the finite-depth
-            # truncation bias, O(d^-depth), separates mean from limit
+            # truncation bias, O(d^-depth), separates mean from limit, and
+            # only roundoff separates it from its expectation
             allowance = max(1e-9, chain.log_w_max * (depth + 1) * chain.arity ** (-depth))
             z = 0.0 if abs(c_emp - target) <= allowance else float("inf")
+            z_mean = 0.0 if abs(c_emp - mean) <= 1e-9 * max(1.0, abs(mean)) else float("inf")
         checks.append(
             PhaseCheck(
                 phase=j, depth=depth, target=target, empirical=c_emp,
                 stderr=c_se, z_score=float(z), passed=bool(abs(z) <= PASS_SIGMA),
+                expected=mean, bias=mean - target, z_expected=float(z_mean),
+                passed_expected=bool(abs(z_mean) <= PASS_SIGMA),
             )
         )
     return ExperimentReport(
@@ -189,6 +233,7 @@ def lln_experiment(chain: WeightedChainModel, config: SampleConfig) -> Experimen
         stderr=se,
         phase_checks=tuple(checks),
         passed=all(c.passed for c in checks),
+        passed_expected=all(c.passed_expected for c in checks),
         generator=GENERATOR_NAME,
         seed=config.seed,
     )

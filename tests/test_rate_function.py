@@ -27,14 +27,16 @@ from treeshift.rate_function import (
     MAX_DOUBLINGS,
     PRESSURE_TOL,
     ROOT_XTOL,
+    _certified_depths,
     _dual_rows,
+    _ladder_brackets,
     _legendre,
     _pressure_rows,
     _tilted_recursion,
     parse_weighted,
     stationary_class_vector,
 )
-from treeshift.transfer_op import psi
+from treeshift.transfer_op import _certified_depth, psi
 from treeshift.tree_core import lattice_size
 
 ALPHA_STAR_1 = log(2) / 3  # Example-1 limit
@@ -289,6 +291,31 @@ class TestBatchLastRecursion:
             assert np.array_equal(g, w, equal_nan=True)
 
 
+def doubling_brackets(target, slope_of):
+    """The roots' brackets by doubling from +-1 up to 2^MAX_DOUBLINGS, one
+    evaluation per round for the rows still expanding: the bracketing that
+    ``_ladder_brackets`` reads off one pass.  Returns the ends and the
+    slopes minus the target there, (a, fa, b, fb)."""
+    cap = 2.0**MAX_DOUBLINGS
+    a, b = np.full(target.size, -1.0), np.ones(target.size)
+    slope = slope_of(np.concatenate([a, b]))
+    fa, fb = slope[: target.size] - target, slope[target.size:] - target
+    while True:
+        left = (fa > 0) & (a > -cap)
+        right = (fb < 0) & (b < cap) & ~left
+        if not (left.any() or right.any()):
+            break
+        b[left], fb[left] = a[left], fa[left]
+        a[left] *= 2.0
+        a[right], fa[right] = b[right], fb[right]
+        b[right] *= 2.0
+        slope = slope_of(np.concatenate([a[left], b[right]]))
+        split = np.count_nonzero(left)
+        fa[left] = slope[:split] - target[left]
+        fb[right] = slope[split:] - target[right]
+    return a, fa, b, fb
+
+
 def legendre_find_root(alpha, value_and_slope, lo, hi):
     """``_legendre`` as it ran on scipy: the same doubling brackets, then
     ``find_root`` (Chandrupatla, xatol = ROOT_XTOL, xrtol = 0) on all of them,
@@ -305,23 +332,7 @@ def legendre_find_root(alpha, value_and_slope, lo, hi):
     value, argmax = np.full(alpha.shape, inf), np.full(alpha.shape, np.nan)
     inside = (lo - BOUNDARY_SLACK <= alpha) & (alpha <= hi + BOUNDARY_SLACK)
     target = alpha[inside]
-    cap = 2.0**MAX_DOUBLINGS
-    a, b = np.full(target.size, -1.0), np.ones(target.size)
-    slope = evaluate(np.concatenate([a, b]))[1]
-    fa, fb = slope[: target.size] - target, slope[target.size:] - target
-    while True:
-        left = (fa > 0) & (a > -cap)
-        right = (fb < 0) & (b < cap) & ~left
-        if not (left.any() or right.any()):
-            break
-        b[left], fb[left] = a[left], fa[left]
-        a[left] *= 2.0
-        a[right], fa[right] = b[right], fb[right]
-        b[right] *= 2.0
-        slope = evaluate(np.concatenate([a[left], b[right]]))[1]
-        split = np.count_nonzero(left)
-        fa[left] = slope[:split] - target[left]
-        fb[right] = slope[split:] - target[right]
+    a, fa, b, fb = doubling_brackets(target, lambda mu: evaluate(mu)[1])
     mu = np.where(fa >= 0, a, b)
     xl, xr = mu.copy(), mu.copy()
     solve = (fa < 0) & (fb > 0)
@@ -441,6 +452,118 @@ class TestExactDual:
         value = finite_rate(chain, 0, 1, -0.2)
         monkeypatch.setattr(rate_function, "ROOT_XTOL", 1e-15)
         assert abs(value - finite_rate(chain, 0, 1, -0.2)) < 1e-12
+
+
+def count_passes(monkeypatch):
+    """Record the depth each tilted recursion actually runs to: its deepest row read."""
+    depths = []
+    kernel = rate_function._tilted_recursion
+
+    def counted(chain, mu, n, mask, stop=None):
+        top, slope = kernel(chain, mu, n, mask, stop)
+        depths.append(int(np.max(np.broadcast_to(n, top.shape)[~np.isnan(top)])))
+        return top, slope
+
+    monkeypatch.setattr(rate_function, "_tilted_recursion", counted)
+    return depths
+
+
+class TestLadder:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_brackets_match_doubling(self, seed):
+        # a grid with points 1e-8 past each domain end, whose roots lie beyond the cap
+        chain = random_weighted_chain(seed)
+        period = find_a0_and_period(chain.base)
+        cap = 2.0**MAX_DOUBLINGS
+        for j in range(period.period):
+            a1, a2 = domain_endpoints(chain, j)
+            target = np.concatenate([[a1 - 1e-8, a2 + 1e-8], np.linspace(a1, a2, 9)])
+
+            def value_and_slope(mu, stop=None):
+                return _pressure_rows(chain, mu, j, PRESSURE_TOL, stop)[:2]
+
+            ref_a, _, ref_b, _ = doubling_brackets(target, lambda mu: value_and_slope(mu)[1])
+            assert ref_a[0] == -cap and ref_b[1] == cap
+            for early_exit in (False, True):
+                a, b = _ladder_brackets(target, value_and_slope, early_exit)
+                assert np.array_equal(a[0], ref_a) and np.array_equal(b[0], ref_b)
+                for end in (a, b):  # the stacks carry each end's own value and slope
+                    assert np.array_equal(end[1:], np.vstack(value_and_slope(end[0])))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 9])
+    @pytest.mark.parametrize("tol", [1e-10, 3e-7, 1e-3])
+    def test_array_depths_match_scalar(self, d, tol):
+        rng = np.random.default_rng(d)
+        exact = tol * float(d) ** np.arange(41)  # log rounding at exact powers of d
+        scale = np.concatenate([
+            10.0 ** rng.uniform(-14, 16, 400), exact, np.nextafter(exact, 0), np.nextafter(exact, inf),
+            [0.0, tol, 0.5 * tol],
+        ])
+        n, weight, error = _certified_depths(scale, d, tol)
+        want = [_certified_depth(s, d, tol) for s in scale.tolist()]
+        assert n.tolist() == want
+        assert weight.tolist() == [(d - 1.0) / d ** (k + 1.0) for k in want]
+        assert error.tolist() == [d ** -k for k in want]
+
+    def test_overflowing_depth_marked(self):
+        # past the float range no depth exists: the scalar raises, the array marks -1
+        scale = np.array([1.0, 1e300, 3e307])
+        with pytest.raises(OverflowError):
+            _certified_depth(1e300, 2, 1e-10)
+        n, weight, error = _certified_depths(scale, 2, 1e-10)
+        assert n.tolist() == [_certified_depth(1.0, 2, 1e-10), -1, -1]
+        assert np.isnan(weight[1:]).all() and np.isnan(error[1:]).all()
+
+    def test_example1_grid_past_ends(self, example1, monkeypatch):
+        # doubling out to the cap took 49 passes on this grid
+        monkeypatch.setattr(rate_function, "GRID_MARGIN", 0.0)
+        monkeypatch.setattr(rate_function, "GRID_MIN_MARGIN", 1e-8)
+        curve = rate_curve(example1)
+        cap = 2.0**MAX_DOUBLINGS
+        assert curve.argmax_mu[0] == -cap and curve.argmax_mu[-1] == cap
+        assert curve.recursion_passes <= 10
+
+    def test_single_interior_rate(self, example1, monkeypatch):
+        # its root lies in [-1, 1]: doubling took 7 passes, the first to depth 35
+        depths = count_passes(monkeypatch)
+        assert rate(example1, 0, 0.2) == pytest.approx(0.0047907926470457315, abs=1e-15)
+        assert len(depths) <= 7 and depths[0] <= 35
+
+    @pytest.mark.parametrize("tol", [1e-290, 1e-300])
+    def test_unneeded_overflowing_rung_raises_nothing(self, example1, tol):
+        # at 1e-290 the cap rung's readout overflows, at 1e-300 its depth
+        # does; an interior point never reads it, a point past the end does
+        cap = 2.0**MAX_DOUBLINGS
+        with pytest.raises(Overflow):
+            pressure(example1, cap, tol=tol)
+        assert 0.0 < rate(example1, 0, 0.1, pressure_tol=tol) < inf
+        a1, _ = domain_endpoints(example1, 0)
+        with pytest.raises(Overflow):
+            rate(example1, 0, a1 - 1e-8, pressure_tol=tol)
+
+
+class TestClassIndex:
+    @pytest.mark.parametrize("j", [2, -1, 5])
+    def test_out_of_range_refused(self, extreme, j):
+        # p = 2: class j must not wrap to j mod 2
+        calls = [
+            lambda: rate(extreme, j, -0.3), lambda: pressure(extreme, 0.3, j),
+            lambda: domain_endpoints(extreme, j), lambda: lln_limit(extreme, j),
+            lambda: finite_rate(extreme, j, 3, -0.3), lambda: rate_curve(extreme, j, n_points=3),
+        ]
+        for call in calls:
+            with pytest.raises(ModelValidationError, match=r"class index must lie in \[0, 2\)"):
+                call()
+
+    def test_in_range_unchanged(self, extreme):
+        assert lln_limit(extreme, 0) == pytest.approx(-log(2) / 3, abs=1e-12)
+        assert lln_limit(extreme, 1) == pytest.approx(-2 * log(2) / 3, abs=1e-12)
+        for j in range(2):
+            got = pressure(extreme, 0.3, j)
+            value, slope, depth, _ = _pressure_rows(extreme, np.array([0.3]), j, PRESSURE_TOL)
+            assert (got.value, got.slope, got.iterations) == (value[0], slope[0], depth[0])
+        assert pressure(extreme, 0.3, 1).value == pytest.approx(-0.1386, abs=1e-4)
 
 
 class TestLln:
@@ -566,14 +689,7 @@ class TestRateCurve:
             assert curve.values[0] == inf  # the grid's left end, outside the domain
 
     def test_summary_counts_recursion_passes(self, example1, monkeypatch):
-        depths = []
-        kernel = rate_function._tilted_recursion
-
-        def counted(chain, mu, n, mask):
-            depths.append(int(np.max(n)))
-            return kernel(chain, mu, n, mask)
-
-        monkeypatch.setattr(rate_function, "_tilted_recursion", counted)
+        depths = count_passes(monkeypatch)
         summary = rate_curve(example1, 0, n_points=30).summary()
         assert summary["recursion_passes"] == len(depths) > 0
         assert summary["max_depth"] == max(depths)
@@ -585,7 +701,7 @@ class TestRateCurve:
         curve.to_csv(out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "c6e5c42d9a5d2024ea73e28cb13e9b2fed6e5078071b9b39b95e3215d0e04e1b"
-        assert (curve.recursion_passes, curve.max_depth) == (12, 37)
+        assert (curve.recursion_passes, curve.max_depth) == (9, 37)
 
     @pytest.mark.parametrize("bad", [
         {"pressure_tol": float("nan")},

@@ -1,16 +1,26 @@
+import json
+import sys
 import time
 from math import log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from treeshift import SampleConfig, chain_from_matrices, lln_experiment
+from treeshift import stochastic
+from treeshift.cli import main
 from treeshift.errors import ModelValidationError
 from treeshift.oracle import exact_mean_distribution
 from treeshift.stochastic import _edge_counts, _level_stream, running_means
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's own reference
+from perfbench.checks import phase_means  # noqa: E402
+from perfbench.inputs import write_inputs  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +255,80 @@ class TestLlnExperiment:
         lo, hi = np.log(example1.W[sup]).min(), np.log(example1.W[sup]).max()
         assert np.all(report.trial_means >= lo - 1e-12)
         assert np.all(report.trial_means <= hi + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def bench_nine(tmp_path_factory):
+    """The benchmark's nine_chain.json (seed 7) and the chain it holds."""
+    workdir = tmp_path_factory.mktemp("bench")
+    write_inputs(workdir, 7)
+    path = workdir / "nine_chain.json"
+    doc = json.loads(path.read_text())
+    return str(path), chain_from_matrices(doc["M"], d=doc["d"], symbols=doc["symbols"])
+
+
+def bench_simulate(path, seed=7):
+    """The benchmark's simulate command at depth 12 with 20 trials."""
+    args = ["simulate", path, "--depth", "12", "--trials", "20", "--seed", str(seed)]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+class TestExpectedVerdict:
+    """Each phase mean against its exact expectation at the sampled depth."""
+
+    def test_expected_matches_benchmark_reference(self, bench_nine, example1, extreme):
+        _, nine = bench_nine
+        for chain, root, depth in ((nine, 0, 12), (nine, 4, 13), (example1, 1, 9), (extreme, 0, 7)):
+            report = lln_experiment(chain, SampleConfig(depth=depth, trials=2, seed=3, root=root))
+            for c in report.phase_checks:
+                want = phase_means(chain.M, chain.W, chain.arity, root, c.depth)
+                assert abs(c.expected - want) <= 1e-12
+                assert c.bias == c.expected - c.target
+
+    def test_benchmark_command(self, bench_nine):
+        # the depth-12 bias is several standard errors: the limit fails, the expectation passes
+        path, _ = bench_nine
+        out = bench_simulate(path)
+        assert out["passed"] is False and out["passed_expected"] is True
+        for c in out["phase_checks"]:
+            assert abs(c["z_score"]) > 6 and abs(c["z_expected"]) <= 3
+            assert c["z_expected"] == pytest.approx(
+                (c["empirical"] - c["expected"]) / c["stderr"], rel=1e-12
+            )
+
+    def test_correct_samples_pass(self, bench_nine):
+        # the benchmark command over seeds 0-59: a 3-sigma verdict on a
+        # t statistic with 19 degrees of freedom fails about 0.5% of runs
+        path, nine = bench_nine
+        root = bench_simulate(path)["manifest"]["config"]["root"]
+        fails = sum(
+            not lln_experiment(nine, SampleConfig(depth=12, trials=20, seed=seed, root=root)).passed_expected
+            for seed in range(60)
+        )
+        assert fails <= 1
+
+    def test_degenerate_mean_meets_expectation(self, flat_chain):
+        # unit weights: every mean is exactly 0, with no standard error
+        report = lln_experiment(flat_chain, SampleConfig(depth=8, trials=5, seed=1))
+        assert report.passed_expected
+        assert all(c.expected == 0.0 and c.z_expected == 0.0 for c in report.phase_checks)
+
+    def test_perturbed_column_fails(self, bench_nine, monkeypatch):
+        # negative control: sampling from M with 0.05 of one column's mass
+        # moved between two children must fail the expectation.  The shift
+        # is about 2.3 standard errors at 20 trials, so the control samples
+        # 200, where it is 7; the correct chain's largest |z| over seeds
+        # 0-9 at 200 trials was 1.3
+        _, nine = bench_nine
+        b = int(np.argmax((nine.M > 0).sum(axis=0)))
+        kids = np.flatnonzero(nine.M[:, b] > 0)
+        m = nine.M.copy()
+        m[kids[0], b] += 0.05
+        m[kids[1], b] -= 0.05
+        biased = chain_from_matrices(m, nine.W, d=nine.arity)
+        monkeypatch.setattr(stochastic, "running_means",
+                            lambda _chain, config, trial: running_means(biased, config, trial))
+        report = lln_experiment(nine, SampleConfig(depth=12, trials=200, seed=7))
+        assert not report.passed_expected
