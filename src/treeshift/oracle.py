@@ -335,13 +335,10 @@ def finite_rate(chain: WeightedChainModel, class_index: int, n: int, alpha: floa
     mask = chain.base.structure.class_mask(class_index - n)
 
     def value_and_slope(mu: np.ndarray, stop=None) -> tuple[np.ndarray, np.ndarray]:
-        top, slope = _tilted_recursion(
-            chain, mu, n, mask, stop and (lambda read, slope: stop(read, slope / total))
-        )
+        # every row runs to depth n and is read at once: there is no early exit to take
+        top, slope = _tilted_recursion(chain, mu, n, mask)
         return top / total, slope / total
 
     lo, hi = _extreme_sums(chain, n, mask)
-    value, _ = _legendre(
-        np.array([alpha], dtype=float), value_and_slope, lo / total, hi / total, early_exit=True
-    )
+    value, _ = _legendre(np.array([alpha], dtype=float), value_and_slope, lo / total, hi / total)
     return -float(value[0])

@@ -279,57 +279,70 @@ def _chandrupatla(evaluate, target: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             e1, e2, e3 = new, np.where(same, e2, e1), np.where(same, e1, e2)
 
 
-def _ladder_brackets(target: np.ndarray, value_and_slope, early_exit: bool):
-    """Brackets of the roots of V'(mu) = target from one pass over the doubling ladder.
+def _ladder_brackets(target: np.ndarray, value_and_slope):
+    """Brackets of the roots of V'(mu) = target: the ends at which doubling from +-1 stops.
 
-    The ladder is mu = +-2^j, j = 0..MAX_DOUBLINGS.  A row with
-    V'(-1) > target takes [-2^j, -2^(j-1)] at the first j >= 1 with
-    V'(-2^j) <= target, a row with V'(1) < target mirrors it, and every
+    A row with V'(-1) > target takes [-2^j, -2^(j-1)] at the first j >= 1
+    with V'(-2^j) <= target, a row with V'(1) < target mirrors it, and every
     other row keeps [-1, 1]; a row that no rung stops takes the cap rung
-    2^MAX_DOUBLINGS.  These are the brackets at which doubling from +-1
-    stops.  The depth grows with |mu|, so the pass reads the rungs outward
-    and, with ``early_exit``, ends once the rungs read fix every bracket.
+    2^MAX_DOUBLINGS.  One pass reads +-1.  The rows outside them are
+    bracketed by passes over the ladder mu = +-2^j, j = 1..MAX_DOUBLINGS:
+    each takes, on every side with a row still open, the next rungs, as
+    many as there are rows outside +-1, so it runs at most twice the rows of
+    a root-solver step.  The depth grows with |mu|, so a pass reads its
+    rungs outward and ends once the rungs read fix every bracket.
     Returns [3, K] stacks (mu, V, V') at the left and right bracket ends.
     """
     rungs = MAX_DOUBLINGS + 1
-    ladder = 2.0 ** np.arange(rungs)
-    ends = np.concatenate([-ladder, ladder])  # -1, -2, ..., -cap, 1, 2, ..., cap
+    # (mu, V, V') at -2^j and +2^j, nan until read
+    ladder = np.full((3, 2, rungs), nan)
+    ladder[0] = [-(2.0 ** np.arange(rungs)), 2.0 ** np.arange(rungs)]
+    ladder[1:, :, 0] = value_and_slope(ladder[0, :, 0])
+    left = ladder[2, 0, 0] > target
+    right = (ladder[2, 1, 0] < target) & ~left
 
     def stopping_rungs(slope: np.ndarray):
-        # each row's side and stopping rung j on it; an unread rung's nan stops nothing
-        left = slope[0] > target
-        right = (slope[rungs] < target) & ~left
-        hits = (slope[1:rungs, None] <= target, slope[rungs + 1:, None] >= target)
-        found = [hit.any(axis=0) for hit in hits]
-        j = [np.where(f, hit.argmax(axis=0) + 1, MAX_DOUBLINGS) for f, hit in zip(found, hits)]
-        return left, right, found, j
+        # each row's first rung j >= 1 past its target on either side; nan stops nothing
+        hits = (slope[0, 1:, None] <= target, slope[1, 1:, None] >= target)
+        return [hit.any(axis=0) for hit in hits], [hit.argmax(axis=0) + 1 for hit in hits]
 
-    def fixed(_read: np.ndarray, slope: np.ndarray) -> bool:
-        # +-1 are read first; once the cap is read the pass ends by itself
-        left, right, found, _ = stopping_rungs(slope)
-        return bool((found[0] | ~left).all() and (found[1] | ~right).all())
+    def open_sides(slope: np.ndarray) -> list[int]:
+        found, _ = stopping_rungs(slope)
+        return [i for i, rows in enumerate((left, right)) if (rows & ~found[i]).any()]
 
-    value, slope = value_and_slope(ends, fixed) if early_exit else value_and_slope(ends)
-    stack = np.vstack([ends, value, slope])
-    left, right, _, (jl, jr) = stopping_rungs(slope)
-    a = np.where(left, stack[:, jl], np.where(right, stack[:, rungs + jr - 1], stack[:, [0]]))
-    b = np.where(left, stack[:, jl - 1], np.where(right, stack[:, rungs + jr], stack[:, [rungs]]))
+    width = np.count_nonzero(left | right)
+    start = 1
+    while start < rungs and (sides := open_sides(ladder[2])):
+        span = slice(start, min(start + width, rungs))
+
+        def fixed(_read: np.ndarray, slope: np.ndarray) -> bool:
+            seen = ladder[2].copy()
+            seen[sides, span] = slope.reshape(len(sides), -1)
+            return not open_sides(seen)
+
+        read = value_and_slope(ladder[0, sides, span].ravel(), fixed)
+        ladder[1:, sides, span] = np.reshape(read, (2, len(sides), -1))
+        start = span.stop
+    found, j = stopping_rungs(ladder[2])
+    jl, jr = (np.where(f, k, MAX_DOUBLINGS) for f, k in zip(found, j))
+    a = np.where(left, ladder[:, 0, jl], np.where(right, ladder[:, 1, jr - 1], ladder[:, 0, [0]]))
+    b = np.where(left, ladder[:, 0, jl - 1], np.where(right, ladder[:, 1, jr], ladder[:, 1, [0]]))
     return a, b
 
 
 def _legendre(
     alpha, value_and_slope: Callable[..., tuple[np.ndarray, np.ndarray]],
-    lo: float, hi: float, early_exit: bool = False,
+    lo: float, hi: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sup_mu (mu alpha - V(mu)) over a batch of alphas, V convex with slopes spanning [lo, hi].
 
-    ``value_and_slope(mu)`` maps an array of mu to the arrays V(mu) and
-    V'(mu), row by row, in one pass.  With ``early_exit`` it also takes a
-    second argument, ``_tilted_recursion``'s ``stop``, and the rows a
-    stopped pass never reads come back nan.  Returns the arrays (value,
-    maximizing mu): (+inf, nan) outside the domain widened by
-    BOUNDARY_SLACK.  Inside it, the sup sits at the root of V'(mu) = alpha.
-    One pass over the doubling ladder brackets every root
+    ``value_and_slope(mu, stop=None)`` maps an array of mu to the arrays
+    V(mu) and V'(mu), row by row, in one pass; ``stop`` is
+    ``_tilted_recursion``'s early exit, and the rows a stopped pass never
+    reads come back nan.  Returns the arrays (value, maximizing mu): (+inf,
+    nan) outside the domain widened by BOUNDARY_SLACK.  Inside it, the sup
+    sits at the root of V'(mu) = alpha.  A pass over +-1, then passes over
+    the doubling ladder for the roots outside them, bracket every root
     (``_ladder_brackets``); then ``_chandrupatla`` solves every bracket at
     once.  At an edge of the domain the root lies at infinity, and the cap
     rung 2^MAX_DOUBLINGS stands in for it.  Every point is evaluated once:
@@ -349,7 +362,7 @@ def _legendre(
         return value, argmax
     target = alpha[inside]
     # [3, K] stacks (mu, V, V') at the bracket ends
-    a, b = _ladder_brackets(target, value_and_slope, early_exit)
+    a, b = _ladder_brackets(target, value_and_slope)
     # a root at the bracket's end, or beyond the cap
     xl = np.where(a[2] >= target, a, b)
     xr, mu = xl.copy(), xl[0].copy()
@@ -448,12 +461,7 @@ def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, 
     period = chain.base.structure
     scale = _recursion_constant(chain) * (np.abs(mu) + 2.0)
     n, weight, error = _certified_depths(scale, d, tol)
-    deep = n < 0
-    if deep.any() and stop is None:
-        raise Overflow(
-            f"the certified depth overflows at |mu| = {float(np.abs(mu).max())!r}, tol = {tol!r}"
-        )
-    read, stopped = ~deep, False
+    read, stopped = n >= 0, False
 
     def readout(rows: np.ndarray, slope: np.ndarray) -> bool:
         nonlocal read, stopped
@@ -466,10 +474,9 @@ def _pressure_rows(chain: WeightedChainModel, mu: np.ndarray, class_index: int, 
         top, slope = _tilted_recursion(
             chain, mu, n, masks[(class_index - n) % period.period], stop and readout
         )
-    if deep.any() and not stopped:
-        raise Overflow(
-            f"the certified depth overflows at |mu| = {float(np.abs(mu[deep]).min())!r}, tol = {tol!r}"
-        )
+    if (n < 0).any() and not stopped:
+        deep = float(np.abs(mu[n < 0]).min())
+        raise Overflow(f"the certified depth overflows at |mu| = {deep!r}, tol = {tol!r}")
     value, slope = weight * top, weight * slope
     if not (np.isfinite(value[read]).all() and np.isfinite(slope[read]).all()):
         raise Overflow(
@@ -506,7 +513,7 @@ def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
                endpoints: tuple[float, float], tol: float):
     """Rates and maximizing mu over an alpha batch, plus the kernel passes and largest depth.
 
-    A pass counts once and its depth is the deepest row it read: the ladder
+    A pass counts once and its depth is the deepest row it read: a ladder
     pass of ``_legendre`` stops at the depth of the last rung it needs.
     """
     passes, max_depth = 0, 0
@@ -518,7 +525,7 @@ def _dual_rows(chain: WeightedChainModel, class_index: int, alphas: np.ndarray,
         max_depth = max(max_depth, int(depth.max(initial=0)))
         return value, slope
 
-    values, argmax = _legendre(alphas, value_and_slope, *endpoints, early_exit=True)
+    values, argmax = _legendre(alphas, value_and_slope, *endpoints)
     return values, argmax, passes, max_depth
 
 
@@ -668,9 +675,9 @@ def rate_curve(
 ) -> RateCurve:
     """Evaluate the rate over a uniform grid clipped around its finite domain.
 
-    Every grid point is solved in the same batched dual: one tilted recursion
-    over the doubling ladder brackets every root, then one per root-solver
-    step, over all points at once.
+    Every grid point is solved in the same batched dual: tilted recursions
+    over +-1 and the doubling ladder bracket every root, then one runs per
+    root-solver step, over all points at once.
     """
     if n_points < 0:
         raise ModelValidationError(f"need n_points >= 0, got {n_points}")

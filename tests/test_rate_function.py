@@ -363,7 +363,7 @@ class TestRootSolve:
         ends = domain_endpoints(chain, j)
         alphas = rate_curve(chain, j, n_points=15).alphas
 
-        def value_and_slope(mu):
+        def value_and_slope(mu, stop=None):
             return _pressure_rows(chain, mu, j, PRESSURE_TOL)[:2]
 
         value, mu = _legendre(alphas, value_and_slope, *ends)
@@ -455,17 +455,19 @@ class TestExactDual:
 
 
 def count_passes(monkeypatch):
-    """Record the depth each tilted recursion actually runs to: its deepest row read."""
-    depths = []
+    """Record the depth each tilted recursion actually runs to, its deepest
+    row read, and the rows it runs."""
+    depths, rows = [], []
     kernel = rate_function._tilted_recursion
 
     def counted(chain, mu, n, mask, stop=None):
         top, slope = kernel(chain, mu, n, mask, stop)
         depths.append(int(np.max(np.broadcast_to(n, top.shape)[~np.isnan(top)])))
+        rows.append(top.size)
         return top, slope
 
     monkeypatch.setattr(rate_function, "_tilted_recursion", counted)
-    return depths
+    return depths, rows
 
 
 class TestLadder:
@@ -485,11 +487,10 @@ class TestLadder:
 
             ref_a, _, ref_b, _ = doubling_brackets(target, lambda mu: value_and_slope(mu)[1])
             assert ref_a[0] == -cap and ref_b[1] == cap
-            for early_exit in (False, True):
-                a, b = _ladder_brackets(target, value_and_slope, early_exit)
-                assert np.array_equal(a[0], ref_a) and np.array_equal(b[0], ref_b)
-                for end in (a, b):  # the stacks carry each end's own value and slope
-                    assert np.array_equal(end[1:], np.vstack(value_and_slope(end[0])))
+            a, b = _ladder_brackets(target, value_and_slope)
+            assert np.array_equal(a[0], ref_a) and np.array_equal(b[0], ref_b)
+            for end in (a, b):  # the stacks carry each end's own value and slope
+                assert np.array_equal(end[1:], np.vstack(value_and_slope(end[0])))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 9])
     @pytest.mark.parametrize("tol", [1e-10, 3e-7, 1e-3])
@@ -525,22 +526,35 @@ class TestLadder:
         assert curve.recursion_passes <= 10
 
     def test_single_interior_rate(self, example1, monkeypatch):
-        # its root lies in [-1, 1]: doubling took 7 passes, the first to depth 35
-        depths = count_passes(monkeypatch)
+        # its root lies in [-1, 1]: doubling took 7 passes, the first over
+        # +-1 alone to depth 35, and the ladder's rungs add no rows to it
+        depths, rows = count_passes(monkeypatch)
         assert rate(example1, 0, 0.2) == pytest.approx(0.0047907926470457315, abs=1e-15)
-        assert len(depths) <= 7 and depths[0] <= 35
+        assert len(depths) <= 7 and depths[0] <= 35 and rows[0] == 2
+
+    def test_lone_point_takes_one_rung_per_pass(self, example1, monkeypatch):
+        # a ladder pass runs as many rungs per side as there are points
+        # outside +-1: past the left end a lone point doubles as before
+        depths, rows = count_passes(monkeypatch)
+        a1, _ = domain_endpoints(example1, 0)
+        assert rate(example1, 0, a1 - 1e-8) < inf
+        assert rows[0] == 2 and max(rows[1:]) == 1 and len(rows) == 1 + MAX_DOUBLINGS
 
     @pytest.mark.parametrize("tol", [1e-290, 1e-300])
     def test_unneeded_overflowing_rung_raises_nothing(self, example1, tol):
         # at 1e-290 the cap rung's readout overflows, at 1e-300 its depth
-        # does; an interior point never reads it, a point past the end does
+        # does; an interior point never reads it, a point past the right end does
         cap = 2.0**MAX_DOUBLINGS
         with pytest.raises(Overflow):
             pressure(example1, cap, tol=tol)
         assert 0.0 < rate(example1, 0, 0.1, pressure_tol=tol) < inf
-        a1, _ = domain_endpoints(example1, 0)
+        a1, a2 = domain_endpoints(example1, 0)
         with pytest.raises(Overflow):
-            rate(example1, 0, a1 - 1e-8, pressure_tol=tol)
+            rate(example1, 0, a2 + 1e-8, pressure_tol=tol)
+        if tol == 1e-290:
+            # -cap reads only the log W = 0 edges and stays finite; past the
+            # left end the ladder runs that side alone, so +cap is never read
+            assert rate(example1, 0, a1 - 1e-8, pressure_tol=tol) < inf
 
 
 class TestClassIndex:
@@ -689,7 +703,7 @@ class TestRateCurve:
             assert curve.values[0] == inf  # the grid's left end, outside the domain
 
     def test_summary_counts_recursion_passes(self, example1, monkeypatch):
-        depths = count_passes(monkeypatch)
+        depths, _ = count_passes(monkeypatch)
         summary = rate_curve(example1, 0, n_points=30).summary()
         assert summary["recursion_passes"] == len(depths) > 0
         assert summary["max_depth"] == max(depths)
@@ -701,7 +715,7 @@ class TestRateCurve:
         curve.to_csv(out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "c6e5c42d9a5d2024ea73e28cb13e9b2fed6e5078071b9b39b95e3215d0e04e1b"
-        assert (curve.recursion_passes, curve.max_depth) == (9, 37)
+        assert (curve.recursion_passes, curve.max_depth) == (10, 37)
 
     @pytest.mark.parametrize("bad", [
         {"pressure_tol": float("nan")},
